@@ -4,7 +4,9 @@ Brute-force singular vectors
 
 Build the graded slice of the Verma module as a quotient of free words,
 act with the raising generators by deleting letters, and read the kernel
-off exact rational row reduction.
+off sparse fraction-free elimination: the rational matrix is scaled to
+integer rows, brought to reduced echelon form exactly, and each free column
+gives one kernel vector.
 """
 
 from fractions import Fraction

@@ -2,10 +2,13 @@
 
 Words are tuples over {1, 2}, compared lexicographically with 1 < 2, and a
 grade (g1, g2) counts occurrences of each letter.  The ideal slice spanned
-by framed Serre relators is row-reduced over exact rationals, so quotient
-bases and reductions are deterministic and exact.  Slices grow like
-binomial(g1+g2, g1); the grade cap keeps accidental blowups from hanging a
-run and can be raised through the VERMA_GRADE_CAP environment variable.
+by framed Serre relators, and the matrices whose kernels are asked for, go
+through one exact core: sparse fraction-free elimination of integer rows to
+reduced echelon form.  Quotient bases, reductions and kernel bases are read
+off its pivot set, which is canonical, so they are deterministic and exact.
+Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
+blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -166,45 +169,87 @@ def serre_grade(which: int, cartan: CartanData) -> tuple[int, int]:
     raise ValueError("which must be 1 or 2")
 
 
-def rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction.  Returns (nonzero rows, pivot
-    column indices); fully deterministic for a fixed row order."""
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                sel = r
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {j: a // g for j, a in row.items()}
+
+
+def _integer_row(entries) -> dict[int, int]:
+    """Sparse primitive integer row proportional to the (column, rational)
+    pairs given: denominators cleared, content divided out, zeros dropped."""
+    entries = [(j, v) for j, v in entries if v]
+    if not entries:
+        return {}
+    den = math.lcm(*(v.denominator for _, v in entries))
+    return _primitive({j: v.numerator * (den // v.denominator) for j, v in entries})
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """The primitive integer combination of row and prow that is 0 at col."""
+    a, b = prow[col], row[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in prow.items():
+        x = out.get(j, 0) - b * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out) if out else out
+
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of sparse integer rows, fraction-free.
+
+    Rows stay integer: each step cross-multiplies two rows so that one
+    column cancels, then divides out the content (integer-preserving
+    elimination in the sense of Bareiss 1968, with the content in place of
+    his exact divisor).  Rows go in sparsest first, which keeps fill-in
+    down; a row is eliminated at its lowest column while that column leads
+    a stored row, and is stored under it otherwise, or dropped when it
+    vanishes.  Then, from the highest lead down, each stored row is cleared
+    at the other leads.
+
+    Returns {lead column: primitive integer row}.  Each row is its lead's
+    reduced row echelon row up to a scalar, so the leads (the pivot columns)
+    and everything read off the rows do not depend on the row order.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
                 break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return mat[:rank], pivots
+            row = _eliminate(row, prow, lead)
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        # the rows led by higher columns are already cleared, so removing
+        # one of their leads here brings in no other lead
+        for col in [j for j in row if j != lead and j in pivots]:
+            row = _eliminate(row, pivots[col], col)
+        pivots[lead] = row
+    return pivots
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of the matrix, one vector per free column,
-    each normalized with a 1 in its free coordinate."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+    each normalized with a 1 in its free coordinate and 0 in the other free
+    coordinates, which fixes it uniquely."""
+    pivots = _echelon(_integer_row(enumerate(row)) for row in rows)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[free]
+        for lead, prow in pivots.items():
+            a = prow.get(free)
+            if a:
+                vec[lead] = Fraction(-a, prow[lead])
         basis.append(vec)
     return basis
 
@@ -213,7 +258,8 @@ class GradedQuotient:
     """One grade of the free algebra modulo the framed Serre relators.
 
     `words` lists the full monomial basis, `basis_words` the surviving
-    quotient basis (non-pivot columns of the reduced ideal slice).
+    quotient basis (the columns of the ideal slice that lead no echelon row)
+    and `basis_index` the position of each basis word.
     """
 
     def __init__(self, g1: int, g2: int, cartan: CartanData):
@@ -222,10 +268,12 @@ class GradedQuotient:
         self.cartan = cartan
         self.words = words_of_grade(g1, g2)
         self.index = {w: k for k, w in enumerate(self.words)}
-        rows = [self._vector(el) for el in self._ideal_elements(g1, g2, cartan)]
-        self._rows, self._pivots = rref(rows, len(self.words))
-        pivot_set = set(self._pivots)
-        self.basis_words = [w for k, w in enumerate(self.words) if k not in pivot_set]
+        self._pivots = _echelon(
+            _integer_row((self.index[w], c) for w, c in el.coeffs.items())
+            for el in self._ideal_elements(g1, g2, cartan)
+        )
+        self.basis_words = [w for k, w in enumerate(self.words) if k not in self._pivots]
+        self.basis_index = {w: k for k, w in enumerate(self.basis_words)}
 
     @staticmethod
     def _ideal_elements(g1: int, g2: int, cartan: CartanData) -> list[FreeElement]:
@@ -243,29 +291,26 @@ class GradedQuotient:
                             out.append(rel.framed(lw, rw))
         return out
 
-    def _vector(self, elem: FreeElement) -> list[Fraction]:
-        vec = [Fraction(0)] * len(self.words)
-        for w, c in elem.coeffs.items():
-            vec[self.index[w]] += c
-        return vec
-
     @property
     def dim(self) -> int:
         return len(self.basis_words)
 
-    def reduce_vector(self, vec: list[Fraction]) -> list[Fraction]:
-        """Eliminate pivot coordinates; the result is supported on basis words."""
-        v = list(vec)
-        for row, pc in zip(self._rows, self._pivots):
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def reduce(self, elem: FreeElement) -> dict[Word, Fraction]:
-        """Coordinates of the element's image on the quotient basis."""
-        v = self.reduce_vector(self._vector(elem))
-        return {w: v[self.index[w]] for w in self.basis_words if v[self.index[w]]}
+        """Coordinates of the element's image on the quotient basis: each
+        word at a pivot column is replaced by its row's other columns, which
+        are all basis words."""
+        out: dict[int, Fraction] = {}
+        for w, c in elem.coeffs.items():
+            col = self.index[w]
+            prow = self._pivots.get(col)
+            if prow is None:
+                out[col] = out.get(col, 0) + c
+                continue
+            f = c / prow[col]
+            for j, a in prow.items():
+                if j != col:
+                    out[j] = out.get(j, 0) - f * a
+        return {self.words[k]: c for k, c in sorted(out.items()) if c}
 
     def in_ideal(self, elem: FreeElement) -> bool:
         return not self.reduce(elem)

@@ -146,7 +146,7 @@ def singular_vectors(
             img = e_action(i, FreeElement.from_word(w), weight, cartan)
             coords = target.reduce(img)
             for tw, c in coords.items():
-                rows[offset + target.basis_words.index(tw)][col] = c
+                rows[offset + target.basis_index[tw]][col] = c
             offset += target.dim
     kern = kernel_basis(rows, ncols)
     vectors = []

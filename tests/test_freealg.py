@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from rank2verma.freealg import (
     check_grade,
     graded_quotient,
     kernel_basis,
-    rref,
     serre_element,
     serre_grade,
     word_grade,
@@ -72,16 +72,31 @@ def test_serre_element_frozen():
     )
 
 
-def test_rref_and_kernel_frozen():
+def test_kernel_basis_frozen():
     rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
-    red, pivots = rref(rows, 3)
-    assert pivots == [0]
-    assert red == [[Fraction(1), Fraction(2), Fraction(3)]]
     kern = kernel_basis(rows, 3)
     assert kern == [
         [Fraction(-2), Fraction(1), Fraction(0)],
         [Fraction(-3), Fraction(0), Fraction(1)],
     ]
+    # rank 2 with non-integer entries and a zero row: the third row is
+    # 2*(first) + 2*(second)
+    F = Fraction
+    rows = [
+        [F(1, 2), F(1, 3), F(0), F(-1), F(5, 4)],
+        [F(0), F(2, 3), F(-3, 7), F(0), F(1)],
+        [F(1), F(2), F(-6, 7), F(-2), F(9, 2)],
+        [F(0)] * 5,
+    ]
+    kern = kernel_basis(rows, 5)
+    assert kern == [
+        [F(-3, 7), F(9, 14), F(1), F(0), F(0)],
+        [F(2), F(0), F(0), F(1), F(0)],
+        [F(-3, 2), F(-3, 2), F(0), F(0), F(1)],
+    ]
+    for vec in kern:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    assert kernel_basis([[F(0), F(0)]], 2) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_quotient_dims_frozen():
@@ -104,7 +119,7 @@ def test_quotient_reduce():
     # a single word reduces to itself plus ideal corrections supported on basis words
     w = q.words[0]
     red = q.reduce(FreeElement.from_word(w))
-    assert all(bw in q.basis_words for bw in red)
+    assert all(q.basis_words[q.basis_index[bw]] == bw for bw in red)
 
 
 def test_quotient_cache():
@@ -140,3 +155,20 @@ def test_quotient_respects_cap(monkeypatch):
     cd = CartanData(2, 2)
     with pytest.raises(GradeCapExceeded):
         GradedQuotient(3, 1, cd)
+
+
+def test_quotients_and_reductions_frozen():
+    # basis words and the reduction of every word, for every grade with
+    # g1 + g2 <= 9 at five Cartan pairs; the digest was taken from the dense
+    # Gauss-Jordan implementation this package used before the sparse one
+    digest = hashlib.sha256()
+    for p, q in ((2, 2), (2, 3), (3, 3), (1, 4), (4, 1)):
+        cd = CartanData(p, q)
+        for total in range(10):
+            for g1 in range(total + 1):
+                quo = graded_quotient(g1, total - g1, cd)
+                digest.update(repr((p, q, quo.grade, quo.basis_words)).encode())
+                for w in quo.words:
+                    red = quo.reduce(FreeElement.from_word(w))
+                    digest.update(repr(sorted(red.items())).encode())
+    assert digest.hexdigest() == "10e50cc388c32744c9ceb6be677088327c8167f44c7554bf4d0213c13e8773be"

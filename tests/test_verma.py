@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma.cartan import CartanData, RootVector
+from rank2verma.cartan import CartanData, RootVector, family_root
 from rank2verma.freealg import FreeElement, serre_element
-from rank2verma.gamma import WeightParam
+from rank2verma.gamma import WeightParam, case_weight
 from rank2verma.verma import (
     annihilates,
     e_action,
@@ -94,6 +94,42 @@ def test_singular_vector_frozen_kernel():
     assert vec.coeffs[max(vec.coeffs)] == 1
     assert annihilates(vec, w, cd)
     assert res.weight == w.to_unshifted()
+
+
+def test_singular_vectors_frozen_dim3_kernel():
+    # (2,2), case 2, n = 1, m = 3 at t = -3/2 lies on other reducibility
+    # lines too; the kernel has dimension 3, and the order and normalization
+    # of its basis (one vector per free column) are pinned here
+    cd = CartanData(2, 2)
+    w = case_weight(2, 1, cd).at(3, Fraction(-3, 2))
+    res = singular_vectors(w, family_root(2, 1, cd), 3, cd)
+    assert (res.grade, res.quotient_dim, res.kernel_dim) == ((3, 6), 22, 3)
+    F = Fraction
+    expected = [
+        {
+            (2, 2, 2, 1, 2, 1, 2, 1, 2): F(-8), (2, 2, 2, 1, 2, 1, 2, 2, 1): F(4),
+            (2, 2, 2, 1, 2, 2, 1, 1, 2): F(4), (2, 2, 2, 1, 2, 2, 1, 2, 1): F(-2),
+            (2, 2, 2, 2, 1, 1, 2, 1, 2): F(4), (2, 2, 2, 2, 1, 1, 2, 2, 1): F(-2),
+            (2, 2, 2, 2, 1, 2, 1, 1, 2): F(-2), (2, 2, 2, 2, 1, 2, 1, 2, 1): F(1),
+        },
+        {
+            (2, 2, 2, 1, 1, 2, 1, 2, 2): F(7, 2), (2, 2, 2, 1, 2, 1, 1, 2, 2): F(-11, 6),
+            (2, 2, 2, 1, 2, 1, 2, 1, 2): F(-5), (2, 2, 2, 1, 2, 1, 2, 2, 1): F(5, 3),
+            (2, 2, 2, 1, 2, 2, 1, 1, 2): F(5, 3), (2, 2, 2, 2, 1, 1, 2, 1, 2): F(7, 2),
+            (2, 2, 2, 2, 1, 1, 2, 2, 1): F(-5, 6), (2, 2, 2, 2, 1, 2, 1, 1, 2): F(-11, 6),
+            (2, 2, 2, 2, 1, 2, 2, 1, 1): F(-5, 6), (2, 2, 2, 2, 2, 1, 1, 2, 1): F(1),
+        },
+        {
+            (2, 2, 2, 1, 1, 2, 1, 2, 2): F(-15, 2), (2, 2, 2, 1, 2, 1, 1, 2, 2): F(5, 2),
+            (2, 2, 2, 1, 2, 1, 2, 1, 2): F(15), (2, 2, 2, 1, 2, 1, 2, 2, 1): F(-5),
+            (2, 2, 2, 1, 2, 2, 1, 1, 2): F(-5), (2, 2, 2, 2, 1, 1, 2, 1, 2): F(-15, 2),
+            (2, 2, 2, 2, 1, 1, 2, 2, 1): F(5, 2), (2, 2, 2, 2, 1, 2, 1, 1, 2): F(5, 2),
+            (2, 2, 2, 2, 1, 2, 2, 1, 1): F(5, 2), (2, 2, 2, 2, 2, 1, 2, 1, 1): F(-3),
+            (2, 2, 2, 2, 2, 2, 1, 1, 1): F(1),
+        },
+    ]
+    assert [vec.coeffs for vec in res.vectors] == expected
+    assert all(annihilates(vec, w, cd) for vec in res.vectors)
 
 
 def test_off_line_weight_has_no_singular_vector():
