@@ -69,6 +69,11 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip() != ""]
 
 
+def _require_at_least(value: int, least: int, flag: str) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _weight_from_args(args) -> WeightParam:
     w = WeightParam(_parse_fraction(args.x), _parse_fraction(args.y), args.coords == "shifted")
     return w
@@ -106,6 +111,7 @@ def cmd_orbit(args) -> tuple[dict, list[dict], int]:
 
 def cmd_gamma(args) -> tuple[dict, list[dict], int]:
     cartan = CartanData(args.p, args.q)
+    _require_at_least(args.kmax, 0, "--kmax")
     table = GammaTable(cartan)
     rows = []
     ok = True
@@ -129,6 +135,10 @@ def cmd_gamma(args) -> tuple[dict, list[dict], int]:
 
 
 def cmd_exponents(args) -> tuple[dict, list[dict], int]:
+    if args.t is not None and args.variable != "t":
+        raise ValueError("--t needs --variable t")
+    if args.xi is not None and args.variable != "xi":
+        raise ValueError("--xi needs --variable xi (the default is --variable t)")
     cartan = CartanData(args.p, args.q)
     data = ffm_exponents(args.case, args.n, cartan)
     word = data.exponents
@@ -140,14 +150,12 @@ def cmd_exponents(args) -> tuple[dict, list[dict], int]:
         degenerate = word.degenerate_rewrite
     t = None if args.t is None else _parse_fraction(args.t)
     xi_value = None if args.xi is None else _parse_fraction(args.xi)
+    value = t if args.variable == "t" else xi_value
     rows = []
     for pos, (letter, form) in enumerate(zip(word.letters, word.exponents), start=1):
         row = {"pos": pos, "letter": letter, "exponent": str(form)}
-        if args.m is not None:
-            if args.variable == "t" and t is not None:
-                row["value"] = _rat(form.at(args.m, t))
-            elif args.variable == "xi" and xi_value is not None:
-                row["value"] = _rat(form.at(args.m, xi_value))
+        if args.m is not None and value is not None:
+            row["value"] = _rat(form.at(args.m, value))
         rows.append(row)
     weight = data.weight
     params = {
@@ -353,6 +361,10 @@ def cmd_verify(args) -> tuple[dict, list[dict], int]:
 
 
 def cmd_identities(args) -> tuple[dict, list[dict], int]:
+    _require_at_least(args.alpha_max, 0, "--alpha-max")
+    _require_at_least(args.beta_max, 0, "--beta-max")
+    _require_at_least(args.n_max, 1, "--n-max")
+    _require_at_least(args.trials, 1, "--trials")
     rng = random.Random(args.seed)
     targets = list(TARGETS) if args.target == "both" else [args.target]
     rows = []

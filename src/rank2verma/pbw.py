@@ -7,6 +7,10 @@ f2^a f1^b h^c with rational coefficients, multiplied by closed forms; a
 slow rewriting engine reduces the same products step by step and doubles
 as an independent check.
 
+Free words project into a target through a per-process cache of word
+images keyed by (target, word): each image is built once, from its longest
+cached prefix, so `project` is one linear pass over a vector's support.
+
 The quadratic factors are X_u = f2 f1 + u*h in "H" and
 X_u = f2 f1 + u*h - u(u-1)/2 in "L"; the identity suites at the bottom
 exercise their shift and sandwich laws.
@@ -267,19 +271,35 @@ def projection_defined(target: str, cartan: CartanData) -> bool:
     return cartan.p >= 2 and cartan.q >= 2
 
 
+# (target, word) -> image of the word in the target; the images are shared,
+# so nothing may mutate them
+_PROJECTION_CACHE: dict[tuple[str, tuple[int, ...]], PBWElement] = {}
+
+
 def project_word(word: tuple[int, ...], target: str) -> PBWElement:
-    out = PBWElement.one(target)
-    for letter in word:
-        out = out * PBWElement.generator(letter, target)
+    """Image of a free word in the target, cached per (target, word).  A new
+    word starts from its longest cached prefix and costs one multiplication
+    by a generator per remaining letter; every prefix it passes is cached.
+    The returned element is shared and must not be mutated."""
+    word = tuple(word)
+    k = len(word)
+    while k and (target, word[:k]) not in _PROJECTION_CACHE:
+        k -= 1
+    out = _PROJECTION_CACHE[(target, word[:k])] if k else PBWElement.one(target)
+    for j in range(k, len(word)):
+        out = out * PBWElement.generator(word[j], target)
+        _PROJECTION_CACHE[(target, word[: j + 1])] = out
     return out
 
 
 def project(elem: FreeElement, target: str) -> PBWElement:
-    """Push a free-word combination into the target algebra."""
-    out = PBWElement(target)
+    """Push a free-word combination into the target algebra, as a fresh
+    element summed from the cached word images."""
+    out: dict[Monomial, Fraction] = {}
     for word, c in elem.coeffs.items():
-        out = out + project_word(word, target) * c
-    return out
+        for key, v in project_word(word, target).coeffs.items():
+            out[key] = out.get(key, 0) + v * c
+    return PBWElement(target, out)
 
 
 # --- quadratic factors and their identity suites ----------------------------

@@ -78,21 +78,7 @@ def ideal_e_stable(g1: int, g2: int, weight: WeightParam, cartan: CartanData) ->
     slices, so it descends to the quotient.  True mathematically; this is
     the computational witness."""
     for rel in GradedQuotient._ideal_elements(g1, g2, cartan):
-        if not annihilates_ideal_member(rel, weight, cartan):
-            return False
-    return True
-
-
-def annihilates_ideal_member(elem: FreeElement, weight: WeightParam, cartan: CartanData) -> bool:
-    g = elem.grade()
-    if g is None:
-        return True
-    g1, g2 = g
-    for i, tg in ((1, (g1 - 1, g2)), (2, (g1, g2 - 1))):
-        if tg[0] < 0 or tg[1] < 0:
-            continue
-        img = e_action(i, elem, weight, cartan)
-        if graded_quotient(tg[0], tg[1], cartan).reduce(img):
+        if not annihilates(rel, weight, cartan):
             return False
     return True
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 
+import pytest
+
+from rank2verma import pbw
 from rank2verma.cli import main
 
 
@@ -236,3 +239,63 @@ def test_verify_report_bytes_frozen(capsys):
     assert hashlib.sha256(first[1].encode()).hexdigest() == (
         "da8938c25162780913c68b4452a4eabb8f37bb42446e7d00834cd6bfc131c218"
     )
+
+
+def test_verify_report_bytes_independent_of_warm_caches(capsys):
+    # a different verify first leaves the quotient, normal-form and
+    # projection caches warm with other grades and words; the acceptance
+    # grid must still give the bytes pinned above
+    pbw._PROJECTION_CACHE.clear()
+    code, _, _ = run(capsys, ["verify", "--p", "2", "--q", "3", "--cases", "4,2", "--n", "1",
+                              "--m", "1,2", "--seed", "3"])
+    assert code == 0
+    code, out, err = run(capsys, ["verify", "--p", "2", "--q", "2", "--cases", "1,2,3,4",
+                                  "--n", "1,2", "--m", "1", "--seed", "7"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "da8938c25162780913c68b4452a4eabb8f37bb42446e7d00834cd6bfc131c218"
+    )
+
+
+def test_verify_w3_report_bytes_frozen(capsys):
+    # the (2,3) grid up to grade (8,5): digest taken before word images
+    # were cached
+    code, out, err = run(capsys, ["verify", "--p", "2", "--q", "3", "--cases", "1,2,3,4",
+                                  "--n", "1,2", "--m", "1", "--seed", "7"])
+    assert code == 0 and err == ""
+    summary = json.loads(out)["summary"]
+    assert (summary["ok"], summary["skipped"], summary["failed"]) == (84, 2, 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "831ba9139e469b7d885cd1e787d25261d0aba32b267673507c9cd647ca14abf4"
+    )
+
+
+def test_gamma_negative_kmax_rejected(capsys):
+    code, out, err = run(capsys, ["gamma", "--p", "2", "--q", "2", "--kmax", "-1"])
+    assert (code, out) == (2, "")
+    assert "--kmax must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--trials", "-1", 1), ("--trials", "0", 1), ("--alpha-max", "-1", 0),
+     ("--beta-max", "-1", 0), ("--n-max", "0", 1)],
+)
+def test_identities_bad_range_rejected(capsys, flag, value, least):
+    code, out, err = run(capsys, ["identities", flag, value])
+    assert (code, out) == (2, "")
+    assert f"{flag} must be >= {least}" in err
+    assert "randrange" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--xi", "1"], "--xi needs --variable xi"),
+     (["--variable", "t", "--xi", "1"], "--xi needs --variable xi"),
+     (["--variable", "xi", "--t", "1"], "--t needs --variable t")],
+)
+def test_exponents_mismatched_value_flag_rejected(capsys, extra, message):
+    code, out, err = run(capsys, ["exponents", "--p", "2", "--q", "2", "--case", "2",
+                                  "--n", "1", "--m", "1"] + extra)
+    assert (code, out) == (2, "")
+    assert message in err

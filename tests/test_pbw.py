@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from rank2verma import pbw
 from rank2verma.cartan import CartanData
-from rank2verma.freealg import serre_element
+from rank2verma.freealg import FreeElement, serre_element
 from rank2verma.pbw import (
     PBWElement,
     factor_shift_identities,
@@ -105,6 +107,66 @@ def test_project_word_frozen():
     assert pr.coeffs == {(1, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}
     # order matters: f2 f1 is already normal
     assert project_word((2, 1), "H").coeffs == {(1, 1, 0): Fraction(1)}
+
+
+SHORT_WORDS = [w for k in range(9) for w in itertools.product((1, 2), repeat=k)]
+
+
+@pytest.fixture(scope="module")
+def rewriting_oracle():
+    """Normal form of every word over {1, 2} up to length 8 in both targets,
+    by step-by-step rewriting; left-first and right-first must agree."""
+    table = {}
+    for tg in ("H", "L"):
+        for w in SHORT_WORDS:
+            left = naive_normal_form(w, tg, "left")
+            assert left == naive_normal_form(w, tg, "right"), (tg, w)
+            table[(tg, w)] = left
+    return table
+
+
+def test_project_word_matches_rewriting_cold_and_shuffled(rewriting_oracle):
+    pbw._PROJECTION_CACHE.clear()
+    for (tg, w), expected in rewriting_oracle.items():
+        assert project_word(w, tg).coeffs == expected, (tg, w)
+    # a different warm-up order leaves other prefixes cached first
+    pbw._PROJECTION_CACHE.clear()
+    order = list(rewriting_oracle)
+    random.Random(11).shuffle(order)
+    for tg, w in order:
+        project_word(w, tg)
+    for (tg, w), expected in rewriting_oracle.items():
+        assert project_word(w, tg).coeffs == expected, (tg, w)
+
+
+def test_project_is_sum_of_scaled_word_images():
+    rng = random.Random(5)
+    for tg in ("H", "L"):
+        for _ in range(20):
+            words = rng.sample(SHORT_WORDS, 6)
+            elem = FreeElement({w: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for w in words})
+            expected = PBWElement(tg)
+            for w, c in elem.coeffs.items():
+                expected = expected + project_word(w, tg) * c
+            assert project(elem, tg) == expected
+
+
+def test_project_returns_fresh_element():
+    word = (1, 2, 1)
+    cached = dict(project_word(word, "L").coeffs)
+    out = project(FreeElement({word: Fraction(1)}), "L")
+    out.coeffs.clear()
+    assert project_word(word, "L").coeffs == cached
+
+
+def test_project_word_deep_word_without_recursion():
+    # longer than the default recursion limit of 1000
+    word = (2,) * 600 + (1,) * 600
+    try:
+        for tg in ("H", "L"):
+            assert project_word(word, tg).coeffs == {(600, 600, 0): Fraction(1)}
+    finally:
+        pbw._PROJECTION_CACHE.clear()
 
 
 def test_projection_defined_flags():
