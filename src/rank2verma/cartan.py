@@ -260,21 +260,14 @@ def identify_family(point: RootVector, cartan: CartanData) -> tuple[int, int]:
 
 
 def reflection_word(point: RootVector, cartan: CartanData) -> ReflectionWord:
-    """Decomposition of the reflection about an orbit point:
-    family 1 -> S1(2n-1), family 2 -> S2(2n), family 3 -> S2(2n-1), family 4 -> S1(2n).
-    """
-    case, n = identify_family(point, cartan)
-    if case == 1:
-        return ReflectionWord(1, 2 * n - 1)
-    if case == 2:
-        return ReflectionWord(2, 2 * n)
-    if case == 3:
-        return ReflectionWord(2, 2 * n - 1)
-    return ReflectionWord(1, 2 * n)
+    """Decomposition of the reflection about an orbit point, whose family
+    identify_family finds."""
+    return word_for_family(*identify_family(point, cartan))
 
 
 def word_for_family(case: int, n: int) -> ReflectionWord:
-    """Reflection word of family_root(case, n) without the orbit search."""
+    """Reflection word of family_root(case, n): family 1 -> S1(2n-1),
+    family 2 -> S2(2n), family 3 -> S2(2n-1), family 4 -> S1(2n)."""
     if case == 1:
         return ReflectionWord(1, 2 * n - 1)
     if case == 2:

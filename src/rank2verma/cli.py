@@ -23,7 +23,6 @@ from .cartan import (
     CartanData,
     FiniteTypeError,
     RootVector,
-    family_root,
     orbit,
 )
 from .freealg import GradeCapExceeded, grade_cap, word_str
@@ -41,7 +40,7 @@ from .gamma import (
     xi_of_mt,
 )
 from .pbw import TARGETS, factor_shift_identities, projection_defined
-from .products import default_targets, end_to_end
+from .products import end_to_end
 from .verma import annihilates, singular_vectors
 
 SCHEMA = "rank2verma-report/1"
@@ -65,8 +64,11 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    values = [int(s) for s in text.split(",") if s.strip() != ""]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _require_at_least(value: int, least: int, flag: str) -> None:
@@ -139,6 +141,8 @@ def cmd_exponents(args) -> tuple[dict, list[dict], int]:
         raise ValueError("--t needs --variable t")
     if args.xi is not None and args.variable != "xi":
         raise ValueError("--xi needs --variable xi (the default is --variable t)")
+    if args.m is None and (args.t is not None or args.xi is not None):
+        raise ValueError(f"{'--t' if args.t is not None else '--xi'} needs --m to be evaluated")
     cartan = CartanData(args.p, args.q)
     data = ffm_exponents(args.case, args.n, cartan)
     word = data.exponents
@@ -154,7 +158,7 @@ def cmd_exponents(args) -> tuple[dict, list[dict], int]:
     rows = []
     for pos, (letter, form) in enumerate(zip(word.letters, word.exponents), start=1):
         row = {"pos": pos, "letter": letter, "exponent": str(form)}
-        if args.m is not None and value is not None:
+        if value is not None:
             row["value"] = _rat(form.at(args.m, value))
         rows.append(row)
     weight = data.weight
@@ -178,7 +182,7 @@ def cmd_exponents(args) -> tuple[dict, list[dict], int]:
         "trajectory_match": match,
         "results": rows,
     }
-    if args.m is not None and t is not None:
+    if t is not None:
         wv = weight.at(args.m, t)
         payload["weight_shifted_value"] = {"x": _rat(wv.x), "y": _rat(wv.y)}
     return (payload, rows, 0 if match else 1)
@@ -281,7 +285,9 @@ def cmd_verify(args) -> tuple[dict, list[dict], int]:
                     f"target {t} is undefined at (p, q) = ({args.p}, {args.q}): "
                     "the Serre relator does not project to zero (needs p >= 2 and q >= 2)"
                 )
-    resolved = default_targets(cartan) if targets is None else targets
+    cases = _parse_int_list(args.cases, "--cases")
+    ns = _parse_int_list(args.n, "--n")
+    ms = _parse_int_list(args.m, "--m")
     cap = grade_cap()
     if args.grade_cap is not None:
         cap = min(cap, args.grade_cap)
@@ -300,27 +306,11 @@ def cmd_verify(args) -> tuple[dict, list[dict], int]:
 
     rows = []
     counts = {"ok": 0, "failed": 0, "nongeneric": 0, "skipped": 0}
-    for case in _parse_int_list(args.cases):
-        for n in _parse_int_list(args.n):
-            for m in _parse_int_list(args.m):
-                root = family_root(case, n, cartan)
-                g1, g2 = m * root.k1, m * root.k2
-                if g1 + g2 > cap:
-                    for tg in resolved:
-                        counts["skipped"] += 1
-                        rows.append(
-                            {
-                                "case": case, "n": n, "m": m, "target": tg,
-                                "t": None, "xi": None, "g1": g1, "g2": g2,
-                                "quotient_dim": None, "kernel_dim": None,
-                                "status": "skipped", "scalar": None,
-                                "reason": f"grade ({g1}, {g2}) exceeds cap {cap}",
-                                "weight": None, "vector": None,
-                                "projection": None, "product": None,
-                            }
-                        )
-                    continue
-                for rec in end_to_end(case, n, m, cartan, targets=targets, t_samples=tuple(t_samples)):
+    for case in cases:
+        for n in ns:
+            for m in ms:
+                records = end_to_end(case, n, m, cartan, targets=targets, t_samples=tuple(t_samples), cap=cap)
+                for rec in records:
                     counts[rec.status] += 1
                     rows.append(
                         {

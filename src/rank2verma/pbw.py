@@ -2,10 +2,12 @@
 
 Both targets are generated by f1, f2 with [f1, f2] = h.  In target "H" the
 bracket h is central (Heisenberg); in target "L" it acts by [h, f1] = f1
-and [h, f2] = -f2.  Elements are stored on the ordered monomial basis
-f2^a f1^b h^c with rational coefficients, multiplied by closed forms; a
-slow rewriting engine reduces the same products step by step and doubles
-as an independent check.
+and [h, f2] = -f2.  Writing e = 0 in "H" and e = 1 in "L", both obey
+h f1 = f1 (h+e) and h f2 = f2 (h-e).  Elements are stored on the ordered
+monomial basis f2^a f1^b h^c with rational coefficients; two monomials
+multiply by one closed form, the same for both targets up to e, with no
+recursion and no cache.  A slow rewriting engine reduces the same products
+one adjacent swap at a time and doubles as an independent check.
 
 Free words project into a target through a per-process cache of word
 images keyed by (target, word): each image is built once, from its longest
@@ -29,82 +31,38 @@ Monomial = tuple[int, int, int]  # exponents of f2, f1, h
 TARGETS = ("H", "L")
 
 
-def _hpoly_mul(p1: dict[int, Fraction], p2: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for d1, c1 in p1.items():
-        for d2, c2 in p2.items():
-            out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
-    return out
+def _mono_mul(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, Fraction]:
+    """(f2^a1 f1^b1 h^c1)(f2^a2 f1^b2 h^c2) on the ordered basis, in closed form.
 
-
-def _shifted_h_power(shift: int, k: int) -> dict[int, Fraction]:
-    """(h + shift)^k as a degree -> coefficient map."""
-    return {j: Fraction(math.comb(k, j) * shift ** (k - j)) for j in range(k + 1)}
-
-
-_NF_CACHE: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-
-
-def _nf_mul_f1(terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    """Right-multiply a normal form by f1 in target L: h^c f1 = f1 (h+1)^c."""
-    out: dict[Monomial, Fraction] = {}
-    for (a, b, c), coeff in terms.items():
-        for j, pc in _shifted_h_power(1, c).items():
-            key = (a, b + 1, j)
-            out[key] = out.get(key, Fraction(0)) + coeff * pc
-    return out
-
-
-def _normal_form_L(m: int, n: int) -> dict[Monomial, Fraction]:
-    """f1^m f2^n on the ordered basis of target L, via
-    f1 f2^n = f2^n f1 + f2^{n-1} (n*h - binom(n,2))."""
-    if (m, n) in _NF_CACHE:
-        return _NF_CACHE[(m, n)]
-    if m == 0:
-        result = {(n, 0, 0): Fraction(1)}
-    elif n == 0:
-        result = {(0, m, 0): Fraction(1)}
-    else:
-        result = {}
-        for key, coeff in _nf_mul_f1(_normal_form_L(m - 1, n)).items():
-            result[key] = result.get(key, Fraction(0)) + coeff
-        lower = _normal_form_L(m - 1, n - 1)
-        const = -Fraction(math.comb(n, 2))
-        for (a, b, c), coeff in lower.items():
-            kh = (a, b, c + 1)
-            result[kh] = result.get(kh, Fraction(0)) + coeff * n
-            if const:
-                result[(a, b, c)] = result.get((a, b, c), Fraction(0)) + coeff * const
-        result = {k: v for k, v in result.items() if v}
-    _NF_CACHE[(m, n)] = result
-    return result
-
-
-def _mono_mul_H(k1: Monomial, k2: Monomial) -> dict[Monomial, Fraction]:
-    """Closed form for Heisenberg: moving f1^{b1} past f2^{a2} trades pairs
-    for central h's with falling-factorial counts."""
+    Moving f1^b1 past f2^a2 gives, for k = 0..min(b1, a2), the term
+    k! C(b1,k) C(a2,k) f2^{a2-k} f1^{b1-k} P_k(h), with P_k(h) = h^k in "H"
+    and prod_{j<k} (h - (a2-b1+j)/2) in "L".  Every h then moves right by
+    h f1 = f1 (h+e) and h f2 = f2 (h-e), with e = 0 in "H" and e = 1 in "L":
+    P_k(h) becomes P_k(h + e*b2) and h^c1 becomes (h + e(b2-a2))^c1.  The
+    h-polynomial of term k is kept as integer coefficients (degree -> int)
+    over the common denominator 2^k, so each output term is one Fraction.
+    """
     a1, b1, c1 = k1
     a2, b2, c2 = k2
-    out = {}
+    e = 1 if target == "L" else 0
+    s = e * (b2 - a2)
+    # (h + s)^c1 h^c2, a single power of h when s == 0 (always in "H")
+    poly = {c2 + i: math.comb(c1, i) * s ** (c1 - i) for i in range(c1 + 1)} if s else {c1 + c2: 1}
+    out: dict[Monomial, Fraction] = {}
     for k in range(min(b1, a2) + 1):
-        coeff = Fraction(math.factorial(k) * math.comb(b1, k) * math.comb(a2, k))
-        out[(a1 + a2 - k, b1 + b2 - k, c1 + c2 + k)] = coeff
-    return out
-
-
-def _mono_mul_L(k1: Monomial, k2: Monomial) -> dict[Monomial, Fraction]:
-    a1, b1, c1 = k1
-    a2, b2, c2 = k2
-    out: dict[Monomial, Fraction] = {}
-    for (alpha, beta, gamma), coeff in _normal_form_L(b1, a2).items():
-        # remaining h-polynomial: (h+b2)^gamma (h+b2-a2)^{c1} h^{c2}
-        poly = _shifted_h_power(b2, gamma)
-        poly = _hpoly_mul(poly, _shifted_h_power(b2 - a2, c1))
-        if c2:
-            poly = _hpoly_mul(poly, {c2: Fraction(1)})
-        for deg, pc in poly.items():
-            key = (a1 + alpha, beta + b2, deg)
-            out[key] = out.get(key, Fraction(0)) + coeff * pc
+        if k:
+            # next factor of 2^k P_k(h + e*b2): 2h + e(2*b2 - a2 + b1 - (k-1))
+            r = e * (2 * b2 - a2 + b1 - k + 1)
+            nxt: dict[int, int] = {}
+            for d, v in poly.items():
+                nxt[d + 1] = nxt.get(d + 1, 0) + 2 * v
+                if r:
+                    nxt[d] = nxt.get(d, 0) + r * v
+            poly = nxt
+        weight = math.factorial(k) * math.comb(b1, k) * math.comb(a2, k)
+        for d, v in poly.items():
+            if v:
+                out[(a1 + a2 - k, b1 + b2 - k, d)] = Fraction(weight * v, 1 << k)
     return out
 
 
@@ -164,11 +122,10 @@ class PBWElement:
         if not isinstance(other, PBWElement):
             return NotImplemented
         self._check(other)
-        mono_mul = _mono_mul_H if self.target == "H" else _mono_mul_L
         out: dict[Monomial, Fraction] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
-                for k, c in mono_mul(k1, k2).items():
+                for k, c in _mono_mul(k1, k2, self.target).items():
                     out[k] = out.get(k, Fraction(0)) + c1 * c2 * c
         return PBWElement(self.target, out)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanData, RootVector, family_root
-from .freealg import FreeElement
+from .freealg import FreeElement, grade_cap
 from .gamma import (
     GENERIC_T_SAMPLES,
     AffineForm,
@@ -204,38 +204,49 @@ def end_to_end(
     cartan: CartanData,
     targets: list[str] | None = None,
     t_samples: tuple[Fraction, ...] | None = None,
+    cap: int | None = None,
 ) -> list[VerificationRecord]:
     """Compare the factor product against the projected brute-force singular
     vector for every (t, target) pair, exactly.
 
     Each record carries the proportionality scalar when the check passes.
     t values where the kernel is not one-dimensional are reported as
-    nongeneric instead of being interpreted.
+    nongeneric instead of being interpreted.  A target whose projection is
+    undefined, and every target when g1 + g2 exceeds `cap` (default: the
+    grade cap), gets one skipped record and nothing is computed for it.
     """
     if targets is None:
         targets = default_targets(cartan)
     if t_samples is None:
         t_samples = GENERIC_T_SAMPLES
+    if cap is None:
+        cap = grade_cap()
     root = family_root(case, n, cartan)
-    weight = case_weight(case, n, cartan)
-    xi_form = xi_of_mt(case, n, cartan)
-    spec = build_product(case, n, m, cartan)
     grade = (m * root.k1, m * root.k2)
+    over_cap = sum(grade) > cap
 
     records: list[VerificationRecord] = []
     base = dict(case=case, n=n, m=m, p=cartan.p, q=cartan.q, grade=grade)
-    undefined = [tg for tg in targets if not projection_defined(tg, cartan)]
-    for tg in undefined:
+    live = [tg for tg in targets if projection_defined(tg, cartan)]
+    for tg in targets:
+        if tg not in live:
+            reason = "projection undefined: Serre relator does not vanish"
+        elif over_cap:
+            reason = f"grade {grade} exceeds cap {cap}"
+        else:
+            continue
         records.append(
             VerificationRecord(
                 **base, target=tg, t=None, xi=None, quotient_dim=None,
-                kernel_dim=None, status="skipped", scalar=None,
-                reason="projection undefined: Serre relator does not vanish",
+                kernel_dim=None, status="skipped", scalar=None, reason=reason,
             )
         )
-    live = [tg for tg in targets if tg not in undefined]
-    if not live:
+    if over_cap or not live:
         return records
+
+    weight = case_weight(case, n, cartan)
+    xi_form = xi_of_mt(case, n, cartan)
+    spec = build_product(case, n, m, cartan)
 
     for t in t_samples:
         t = Fraction(t)

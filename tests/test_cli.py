@@ -242,9 +242,9 @@ def test_verify_report_bytes_frozen(capsys):
 
 
 def test_verify_report_bytes_independent_of_warm_caches(capsys):
-    # a different verify first leaves the quotient, normal-form and
-    # projection caches warm with other grades and words; the acceptance
-    # grid must still give the bytes pinned above
+    # a different verify first leaves the quotient and projection caches
+    # warm with other grades and words; the acceptance grid must still give
+    # the bytes pinned above
     pbw._PROJECTION_CACHE.clear()
     code, _, _ = run(capsys, ["verify", "--p", "2", "--q", "3", "--cases", "4,2", "--n", "1",
                               "--m", "1,2", "--seed", "3"])
@@ -299,3 +299,21 @@ def test_exponents_mismatched_value_flag_rejected(capsys, extra, message):
                                   "--n", "1", "--m", "1"] + extra)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--cases", "--n", "--m"])
+def test_verify_empty_list_rejected(capsys, flag):
+    code, out, err = run(capsys, ["verify", "--p", "2", "--q", "2", flag, ","])
+    assert (code, out) == (2, "")
+    assert f"{flag} needs at least one value" in err
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [(["--t", "1/3"], "--t"), (["--variable", "xi", "--xi", "2"], "--xi")],
+)
+def test_exponents_value_without_m_rejected(capsys, extra, flag):
+    code, out, err = run(capsys, ["exponents", "--p", "2", "--q", "2", "--case", "2",
+                                  "--n", "1"] + extra)
+    assert (code, out) == (2, "")
+    assert f"{flag} needs --m" in err

@@ -1,6 +1,12 @@
+import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +29,8 @@ from rank2verma.pbw import (
     shift_left,
     shift_right,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_element_basics():
@@ -70,26 +78,49 @@ def test_sl2like_product_frozen():
 
 
 def test_closed_form_matches_rewriting():
-    # same products through the slow adjacent-swap engine, both strategies
-    triples = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    # every monomial pair with exponents <= 2, both targets, against the
+    # slow adjacent-swap engine with both strategies
+    small = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     for target in ("H", "L"):
-        for k1 in triples:
-            for k2 in triples:
-                if sum(k1) + sum(k2) > 7:
-                    continue
-                closed = (
-                    PBWElement(target, {k1: Fraction(1)})
-                    * PBWElement(target, {k2: Fraction(1)})
-                ).coeffs
+        for k1 in small:
+            for k2 in small:
+                closed = pbw._mono_mul(k1, k2, target)
                 assert closed == naive_product(k1, k2, target, "left"), (target, k1, k2)
+                assert closed == naive_product(k1, k2, target, "right"), (target, k1, k2)
+
+
+def test_closed_form_wide_grid_frozen():
+    # f-exponents <= 6, h-powers <= 3; digest taken from the products of the
+    # earlier code, a closed form for H and a cached recursion for L
+    wide = [(a, b, c) for a in range(7) for b in range(7) for c in range(4)]
+    digest = hashlib.sha256()
     for target in ("H", "L"):
-        for k1 in [(1, 2, 1), (2, 0, 2), (0, 2, 1)]:
-            for k2 in [(2, 1, 0), (1, 1, 1)]:
-                closed = (
-                    PBWElement(target, {k1: Fraction(1)})
-                    * PBWElement(target, {k2: Fraction(1)})
-                ).coeffs
-                assert closed == naive_product(k1, k2, target, "right")
+        for k1 in wide:
+            for k2 in wide:
+                prod = sorted(pbw._mono_mul(k1, k2, target).items())
+                digest.update(f"{target} {k1} {k2} {prod}\n".encode())
+    assert digest.hexdigest() == "aeb694c2431103ec07b013143a4984baf182b575f83a649fd9c4dacec46c0153"
+
+
+def _run_fresh(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_shift_right_deep_beta_in_fresh_process():
+    # f1^1400 once overflowed the recursion limit unless smaller powers had
+    # been multiplied first in the same process
+    proc = _run_fresh(["-c", "from rank2verma.pbw import shift_right; print(shift_right(3, 1400, 'L'))"])
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_identities_deep_beta_independent_of_seed(seed):
+    proc = _run_fresh(["-m", "rank2verma", "identities", "--target", "L", "--beta-max", "3000",
+                       "--alpha-max", "0", "--n-max", "1", "--trials", "1", "--seed", str(seed)])
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["results"]
+    assert len(rows) == 6 and all(r["ok"] for r in rows)
 
 
 def test_naive_rewriter_guards():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rank2verma import freealg
 from rank2verma.cartan import CartanData
 from rank2verma.gamma import AffineForm, GammaTable
 from rank2verma.pbw import PBWElement
@@ -139,3 +140,19 @@ def test_end_to_end_skips_undefined_target():
     assert recs[0].status == "skipped"
     assert recs[0].t is None
     assert recs[0].reason.startswith("projection undefined")
+
+
+def test_end_to_end_grade_cap_skips_before_any_build(monkeypatch):
+    # grade (2, 3) at (2,2) case 3, n = 2: skipped for every target, with the
+    # reason the verify report prints, and no quotient is built
+    freealg._QUOTIENT_CACHE.clear()
+    recs = end_to_end(3, 2, 1, CartanData(2, 2), cap=4)
+    assert [r.target for r in recs] == ["H", "L"]
+    for r in recs:
+        assert (r.status, r.grade, r.t, r.kernel_dim) == ("skipped", (2, 3), None, None)
+        assert r.reason == "grade (2, 3) exceeds cap 4"
+    # without `cap` the grade cap applies
+    monkeypatch.setenv("VERMA_GRADE_CAP", "4")
+    recs = end_to_end(3, 2, 1, CartanData(2, 2), targets=["H"])
+    assert [(r.status, r.reason) for r in recs] == [("skipped", "grade (2, 3) exceeds cap 4")]
+    assert not freealg._QUOTIENT_CACHE
