@@ -4,9 +4,10 @@ Brute-force singular vectors
 
 Build the graded slice of the Verma module as a quotient of free words,
 act with the raising generators by deleting letters, and read the kernel
-off sparse fraction-free elimination: the rational matrix is scaled to
-integer rows, brought to reduced echelon form exactly, and each free column
-gives one kernel vector.
+off sparse fraction-free elimination: each grade's e-action matrix is built
+once as integer rows affine in the weight, evaluated at the weight, brought
+to reduced echelon form exactly, and each free column gives one kernel
+vector.
 """
 
 from fractions import Fraction

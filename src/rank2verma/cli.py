@@ -143,6 +143,8 @@ def cmd_exponents(args) -> tuple[dict, list[dict], int]:
         raise ValueError("--xi needs --variable xi (the default is --variable t)")
     if args.m is None and (args.t is not None or args.xi is not None):
         raise ValueError(f"{'--t' if args.t is not None else '--xi'} needs --m to be evaluated")
+    if args.m is not None:
+        _require_at_least(args.m, 1, "--m")
     cartan = CartanData(args.p, args.q)
     data = ffm_exponents(args.case, args.n, cartan)
     word = data.exponents
@@ -290,6 +292,7 @@ def cmd_verify(args) -> tuple[dict, list[dict], int]:
     ms = _parse_int_list(args.m, "--m")
     cap = grade_cap()
     if args.grade_cap is not None:
+        _require_at_least(args.grade_cap, 1, "--grade-cap")
         cap = min(cap, args.grade_cap)
     t_samples = list(GENERIC_T_SAMPLES)
     random_t = None

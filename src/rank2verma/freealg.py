@@ -235,11 +235,14 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def kernel_basis(rows: list, ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of the matrix, one vector per free column,
     each normalized with a 1 in its free coordinate and 0 in the other free
-    coordinates, which fixes it uniquely."""
-    pivots = _echelon(_integer_row(enumerate(row)) for row in rows)
+    coordinates, which fixes it uniquely.  A row is either a sparse
+    {column: nonzero int} dict or a dense sequence of rationals."""
+    pivots = _echelon(
+        _primitive(row) if isinstance(row, dict) else _integer_row(enumerate(row)) for row in rows
+    )
     basis = []
     for free in range(ncols):
         if free in pivots:

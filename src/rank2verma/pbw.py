@@ -11,7 +11,10 @@ one adjacent swap at a time and doubles as an independent check.
 
 Free words project into a target through a per-process cache of word
 images keyed by (target, word): each image is built once, from its longest
-cached prefix, so `project` is one linear pass over a vector's support.
+cached prefix, and kept as integer coefficients (the structure constants are
+integers, so no word image has a denominator).  `project` is one linear
+pass over a vector's support, summed in ints over the common denominator of
+the vector's coefficients.
 
 The quadratic factors are X_u = f2 f1 + u*h in "H" and
 X_u = f2 f1 + u*h - u(u-1)/2 in "L"; the identity suites at the bottom
@@ -228,35 +231,57 @@ def projection_defined(target: str, cartan: CartanData) -> bool:
     return cartan.p >= 2 and cartan.q >= 2
 
 
-# (target, word) -> image of the word in the target; the images are shared,
-# so nothing may mutate them
-_PROJECTION_CACHE: dict[tuple[str, tuple[int, ...]], PBWElement] = {}
+# (target, word) -> image of the word in the target as {monomial: int}.  The
+# bracket relations have integer structure constants, so every word's image
+# has integer coefficients in both targets.  The images are shared, so
+# nothing may mutate them.
+_PROJECTION_CACHE: dict[tuple[str, tuple[int, ...]], dict[Monomial, int]] = {}
+
+_GENERATOR = {1: (0, 1, 0), 2: (1, 0, 0)}
 
 
-def project_word(word: tuple[int, ...], target: str) -> PBWElement:
-    """Image of a free word in the target, cached per (target, word).  A new
-    word starts from its longest cached prefix and costs one multiplication
-    by a generator per remaining letter; every prefix it passes is cached.
-    The returned element is shared and must not be mutated."""
-    word = tuple(word)
+def _word_image(word: tuple[int, ...], target: str) -> dict[Monomial, int]:
+    """Cached integer image of a free word.  A new word starts from its
+    longest cached prefix and costs one multiplication by a generator per
+    remaining letter; every prefix it passes is cached."""
+    if target not in TARGETS:
+        raise ValueError(f"target must be one of {TARGETS}")
     k = len(word)
     while k and (target, word[:k]) not in _PROJECTION_CACHE:
         k -= 1
-    out = _PROJECTION_CACHE[(target, word[:k])] if k else PBWElement.one(target)
+    image = _PROJECTION_CACHE[(target, word[:k])] if k else {(0, 0, 0): 1}
     for j in range(k, len(word)):
-        out = out * PBWElement.generator(word[j], target)
-        _PROJECTION_CACHE[(target, word[: j + 1])] = out
-    return out
+        gen = _GENERATOR[word[j]]
+        # one letter on the right leaves k <= 1 in _mono_mul, so its
+        # coefficients are multiples of 1/2: twice the new image sums in
+        # ints, and halving it is exact because the image is integral
+        twice: dict[Monomial, int] = {}
+        for mono, v in image.items():
+            for key, c in _mono_mul(mono, gen, target).items():
+                twice[key] = twice.get(key, 0) + v * c.numerator * (2 // c.denominator)
+        image = {key: c >> 1 for key, c in twice.items() if c}
+        _PROJECTION_CACHE[(target, word[: j + 1])] = image
+    return image
+
+
+def project_word(word: tuple[int, ...], target: str) -> PBWElement:
+    """Image of a free word in the target, as a fresh element read from the
+    cached integer image."""
+    return PBWElement(target, _word_image(tuple(word), target))
 
 
 def project(elem: FreeElement, target: str) -> PBWElement:
-    """Push a free-word combination into the target algebra, as a fresh
-    element summed from the cached word images."""
-    out: dict[Monomial, Fraction] = {}
-    for word, c in elem.coeffs.items():
-        for key, v in project_word(word, target).coeffs.items():
-            out[key] = out.get(key, 0) + v * c
-    return PBWElement(target, out)
+    """Push a free-word combination into the target algebra.  The cached
+    integer word images are summed over the common denominator of the
+    element's coefficients, in ints, with one Fraction per output monomial."""
+    terms = [(c, _word_image(word, target)) for word, c in elem.coeffs.items()]
+    common = math.lcm(*(c.denominator for c, _ in terms))
+    out: dict[Monomial, int] = {}
+    for c, image in terms:
+        f = c.numerator * (common // c.denominator)
+        for key, v in image.items():
+            out[key] = out.get(key, 0) + f * v
+    return PBWElement(target, {key: Fraction(v, common) for key, v in out.items() if v})
 
 
 # --- quadratic factors and their identity suites ----------------------------

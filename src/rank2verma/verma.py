@@ -6,10 +6,17 @@ generators act by deleting one letter at a time, weighted by the
 h-eigenvalue of the weight lowered by the letter's suffix; a singular
 vector at grade m*root is a nonzero quotient class killed by both raising
 generators.  Everything is exact rational linear algebra.
+
+The weight enters the e-action matrix of a grade only affinely, through
+lambda(h1) in the e1 block and lambda(h2) in the e2 block, while the
+quotient reduction does not depend on it.  So each grade's matrix is built
+once per process, as two weight-independent integer parts per block, and a
+weight costs one integer row assembly plus the kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,6 +114,73 @@ def _normalize(elem: FreeElement) -> FreeElement:
     return elem * (1 / elem.coeffs[top])
 
 
+# one block per raising generator i: its index and one row per target basis
+# word, {source column: (a, b)}
+EActionBlocks = list[tuple[int, list[dict[int, tuple[int, int]]]]]
+
+# (p, q, g1, g2) -> that grade's e-action blocks; weight-independent, shared
+# and never mutated
+_E_ACTION_CACHE: dict[tuple[int, int, int, int], EActionBlocks] = {}
+
+
+def _e_action_blocks(g1: int, g2: int, cartan: CartanData) -> EActionBlocks:
+    """The e-action on grade (g1, g2) as weight-independent integer rows.
+
+    On a fixed quotient the e_i block is M(z) = M(0) + z*(M(1) - M(0)) with
+    z = lambda(h_i) in unshifted coordinates, since each deletion is weighted
+    by z plus a constant.  Both parts come from `e_action` at the weights
+    (0, 0) and (1, 1), reduced on the target quotient.  Each row is scaled
+    by the lcm of its denominators, so its entry (a, b) is an integer pair
+    with the row proportional to a*z + b.  Built once per (p, q, g1, g2).
+    """
+    key = (cartan.p, cartan.q, g1, g2)
+    blocks = _E_ACTION_CACHE.get(key)
+    if blocks is not None:
+        return blocks
+    source = graded_quotient(g1, g2, cartan)
+    weights = (WeightParam(0, 0), WeightParam(1, 1))
+    blocks = []
+    for i, tg in ((1, (g1 - 1, g2)), (2, (g1, g2 - 1))):
+        if tg[0] < 0 or tg[1] < 0:
+            continue
+        target = graded_quotient(tg[0], tg[1], cartan)
+        parts: list[dict[int, list[Fraction]]] = [{} for _ in range(target.dim)]
+        for col, w in enumerate(source.basis_words):
+            word = FreeElement.from_word(w)
+            for k, weight in enumerate(weights):
+                for tw, c in target.reduce(e_action(i, word, weight, cartan)).items():
+                    parts[target.basis_index[tw]].setdefault(col, [Fraction(0)] * 2)[k] = c
+        rows = []
+        for part in parts:
+            # entry (c0, c1) is z -> (c1 - c0)*z + c0
+            affine = [(col, c1 - c0, c0) for col, (c0, c1) in part.items()]
+            den = math.lcm(*(v.denominator for _, a, b in affine for v in (a, b)))
+            rows.append({col: (int(a * den), int(b * den)) for col, a, b in affine})
+        blocks.append((i, rows))
+    _E_ACTION_CACHE[key] = blocks
+    return blocks
+
+
+def _e_action_rows(g1: int, g2: int, weight: WeightParam, cartan: CartanData) -> list[dict[int, int]]:
+    """The e-action matrix of grade (g1, g2) at the weight, from the cached
+    blocks: one sparse integer row per target basis word, the e1 block
+    first, each row a positive multiple of the exact row.  With z = X/D the
+    entry a*z + b scales to the integer a*X + b*D."""
+    w = weight.to_unshifted()
+    rows = []
+    for i, block in _e_action_blocks(g1, g2, cartan):
+        z = Fraction(w.x if i == 1 else w.y)
+        X, D = z.numerator, z.denominator
+        for row in block:
+            entries = {}
+            for col, (a, b) in row.items():
+                v = a * X + b * D
+                if v:
+                    entries[col] = v
+            rows.append(entries)
+    return rows
+
+
 def singular_vectors(
     weight: WeightParam, root: RootVector, m: int, cartan: CartanData
 ) -> SingularVectorResult:
@@ -117,24 +191,7 @@ def singular_vectors(
     if (g1, g2) == (0, 0) or g1 < 0 or g2 < 0:
         raise ValueError(f"grade ({g1}, {g2}) is not a valid search grade")
     source = graded_quotient(g1, g2, cartan)
-    targets: list[tuple[int, GradedQuotient]] = []
-    if g1 >= 1:
-        targets.append((1, graded_quotient(g1 - 1, g2, cartan)))
-    if g2 >= 1:
-        targets.append((2, graded_quotient(g1, g2 - 1, cartan)))
-
-    ncols = source.dim
-    nrows = sum(t.dim for _, t in targets)
-    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for col, w in enumerate(source.basis_words):
-        offset = 0
-        for i, target in targets:
-            img = e_action(i, FreeElement.from_word(w), weight, cartan)
-            coords = target.reduce(img)
-            for tw, c in coords.items():
-                rows[offset + target.basis_index[tw]][col] = c
-            offset += target.dim
-    kern = kernel_basis(rows, ncols)
+    kern = kernel_basis(_e_action_rows(g1, g2, weight, cartan), source.dim)
     vectors = []
     for vec in kern:
         elem = FreeElement(

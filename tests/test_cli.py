@@ -317,3 +317,19 @@ def test_exponents_value_without_m_rejected(capsys, extra, flag):
                                   "--n", "1"] + extra)
     assert (code, out) == (2, "")
     assert f"{flag} needs --m" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_grade_cap_below_one_rejected(capsys, value):
+    # a cap below 1 would skip every row and check nothing
+    code, out, err = run(capsys, ["verify", "--p", "2", "--q", "2", "--grade-cap", value])
+    assert (code, out) == (2, "")
+    assert f"--grade-cap must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_exponents_m_below_one_rejected(capsys, value):
+    code, out, err = run(capsys, ["exponents", "--p", "2", "--q", "2", "--case", "2",
+                                  "--n", "1", "--m", value, "--t", "1/3"])
+    assert (code, out) == (2, "")
+    assert f"--m must be >= 1, got {value}" in err

@@ -168,18 +168,40 @@ def test_project_word_matches_rewriting_cold_and_shuffled(rewriting_oracle):
         project_word(w, tg)
     for (tg, w), expected in rewriting_oracle.items():
         assert project_word(w, tg).coeffs == expected, (tg, w)
+    # the cache keeps every image, in both targets, as integer coefficients
+    assert all(type(v) is int for image in pbw._PROJECTION_CACHE.values() for v in image.values())
+
+
+# deep words of several shapes, with long f1 f2 alternations whose images
+# have up to about 200 monomials and coefficients of 47 to 87 bits
+DEEP_WORDS = [(1, 2) * 20, (2, 1, 1) * 12 + (2,) * 6, (1,) * 14 + (2,) * 14 + (1, 2, 2) * 3]
+
+
+def test_deep_word_images_match_generator_products():
+    for tg in ("H", "L"):
+        for w in DEEP_WORDS:
+            expected = PBWElement.one(tg)
+            for letter in w:
+                expected = expected * PBWElement.generator(letter, tg)
+            assert project_word(w, tg) == expected, (tg, len(w))
 
 
 def test_project_is_sum_of_scaled_word_images():
+    # elements mix word lengths, short and deep, with rational coefficients,
+    # so projections in both targets carry denominators > 1
     rng = random.Random(5)
+    fractional = {"H": 0, "L": 0}
     for tg in ("H", "L"):
         for _ in range(20):
-            words = rng.sample(SHORT_WORDS, 6)
+            words = rng.sample(SHORT_WORDS, 5) + [rng.choice(DEEP_WORDS)]
             elem = FreeElement({w: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for w in words})
             expected = PBWElement(tg)
             for w, c in elem.coeffs.items():
                 expected = expected + project_word(w, tg) * c
-            assert project(elem, tg) == expected
+            out = project(elem, tg)
+            assert out == expected
+            fractional[tg] += any(c.denominator > 1 for c in out.coeffs.values())
+    assert fractional["H"] and fractional["L"]
 
 
 def test_project_returns_fresh_element():

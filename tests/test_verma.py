@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from rank2verma import freealg, pbw, verma
 from rank2verma.cartan import CartanData, RootVector, family_root
-from rank2verma.freealg import FreeElement, serre_element
-from rank2verma.gamma import WeightParam, case_weight
+from rank2verma.freealg import FreeElement, graded_quotient, serre_element
+from rank2verma.gamma import WeightParam, case_weight, random_rational
+from rank2verma.pbw import project
 from rank2verma.verma import (
+    _e_action_rows,
     annihilates,
     e_action,
     ideal_e_stable,
@@ -170,3 +174,100 @@ def test_raising_operators_do_not_commute():
     assert c21 == Fraction(-38, 21)
     assert diff == Fraction(4, 3)
     assert diff == -cd.p * w.y
+
+
+def _column_by_column_rows(g1, g2, weight, cd):
+    """The e-action matrix at the weight, built one source basis word at a
+    time from e_action and reduce: the e1 block, then the e2 block."""
+    source = graded_quotient(g1, g2, cd)
+    rows = []
+    for i, (t1, t2) in ((1, (g1 - 1, g2)), (2, (g1, g2 - 1))):
+        if t1 < 0 or t2 < 0:
+            continue
+        target = graded_quotient(t1, t2, cd)
+        block = [{} for _ in range(target.dim)]
+        for col, w in enumerate(source.basis_words):
+            img = e_action(i, FreeElement.from_word(w), weight, cd)
+            for tw, c in target.reduce(img).items():
+                block[target.basis_index[tw]][col] = c
+        rows.extend(block)
+    return rows
+
+
+def _same_up_to_scale(row, exact):
+    if set(row) != set(exact):
+        return False
+    if not row:
+        return True
+    scale = Fraction(row[min(row)]) / exact[min(row)]
+    return scale != 0 and all(row[j] == scale * exact[j] for j in row)
+
+
+ORACLE_PAIRS = [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1)]
+
+
+@pytest.mark.parametrize("p,q", ORACLE_PAIRS)
+def test_cached_e_action_rows_match_column_by_column(p, q):
+    # every grade up to total 9, at three t values, one of them of
+    # random_rational size; where a family's grade m*root is reached, its
+    # weight on the reducibility line is used too, so kernels are nonempty
+    cd = CartanData(p, q)
+    ts = (Fraction(1, 3), Fraction(-7, 2), random_rational(random.Random(p * 10 + q)))
+    on_line = {}
+    for case in (1, 2, 3, 4):
+        for n in range(1, 5):
+            root = family_root(case, n, cd)
+            for m in range(1, 10):
+                if m * (root.k1 + root.k2) <= 9:
+                    on_line.setdefault((m * root.k1, m * root.k2), []).append((case, n, m))
+    kernels = 0
+    for total in range(1, 10):
+        for g1 in range(total + 1):
+            g2 = total - g1
+            weights = [(WeightParam(t, 2 - 3 * t), RootVector(g1, g2), 1) for t in ts]
+            for case, n, m in on_line.get((g1, g2), []):
+                root = family_root(case, n, cd)
+                weights += [(case_weight(case, n, cd).at(m, t), root, m) for t in ts]
+            for weight, root, m in weights:
+                rows = _e_action_rows(g1, g2, weight, cd)
+                exact = _column_by_column_rows(g1, g2, weight, cd)
+                assert len(rows) == len(exact), (g1, g2)
+                assert all(_same_up_to_scale(r, e) for r, e in zip(rows, exact)), (g1, g2, weight)
+                res = singular_vectors(weight, root, m, cd)
+                kernels += res.kernel_dim
+                assert all(annihilates(vec, weight, cd) for vec in res.vectors)
+    assert kernels > 0
+
+
+def _clear_caches():
+    freealg._QUOTIENT_CACHE.clear()
+    verma._E_ACTION_CACHE.clear()
+    pbw._PROJECTION_CACHE.clear()
+
+
+def test_results_independent_of_warm_caches():
+    # (2,2) case 2, n = 1, m = 3 at t = 2/9, from cleared caches, then again
+    # after other t values and other grades (whose quotients, e-action
+    # blocks and word images overlap) have warmed every cache
+    cd = CartanData(2, 2)
+    root = family_root(2, 1, cd)
+    weight = case_weight(2, 1, cd).at(3, Fraction(2, 9))
+
+    def result():
+        res = singular_vectors(weight, root, 3, cd)
+        return res, [project(v, tg) for v in res.vectors for tg in ("H", "L")]
+
+    try:
+        _clear_caches()
+        cold = result()
+        assert cold[0].kernel_dim == 1
+        _clear_caches()
+        for case, n, m in ((2, 1, 2), (4, 1, 3), (1, 1, 2), (2, 1, 3)):
+            for t in (Fraction(-5, 3), random_rational(random.Random(m))):
+                res = singular_vectors(case_weight(case, n, cd).at(m, t), family_root(case, n, cd), m, cd)
+                for v in res.vectors:
+                    for tg in ("H", "L"):
+                        project(v, tg)
+        assert result() == cold
+    finally:
+        _clear_caches()
