@@ -7,7 +7,8 @@ act with the raising generators by deleting letters, and read the kernel
 off sparse fraction-free elimination: each grade's e-action matrix is built
 once as integer rows affine in the weight, evaluated at the weight, brought
 to reduced echelon form exactly, and each free column gives one kernel
-vector.
+vector.  Rows independent mod a prime are chosen once per grade; a weight
+is solved on those and the answer checked against every other row.
 """
 
 from fractions import Fraction

@@ -174,6 +174,39 @@ def reflect(point: RootVector, i: int, cartan: CartanData) -> RootVector:
     raise ValueError("generator index must be 1 or 2")
 
 
+def denominator_dims(total: int, cartan: CartanData) -> dict[tuple[int, int], int]:
+    """Graded dimensions of U(n^-) at every grade (g1, g2) with g1 + g2 <=
+    total, from the Weyl-Kac denominator identity (Kac, Infinite-Dimensional
+    Lie Algebras, ch. 10): the character of U(n^-) is the inverse of
+    sum_w eps(w) e^{w rho - rho}.
+
+    W is infinite dihedral, so its elements other than 1 are the alternating
+    words starting with s1 or with s2, all reduced.  Along each chain,
+    rho - s_i w rho = alpha_i + s_i(rho - w rho) grows, so the chain stops
+    once rho - w rho passes the total.  A cross-check on the quotient
+    dimensions only; nothing else calls it.
+    """
+    terms = {}
+    for start in (1, 2):
+        point, i, sign = RootVector(0, 0), start, 1
+        while True:
+            point = reflect(point, i, cartan)
+            point = RootVector(point.k1 + (i == 1), point.k2 + (i == 2))
+            if point.k1 + point.k2 > total:
+                break
+            sign = -sign
+            terms[point.as_pair()] = sign
+            i = 3 - i
+    dims: dict[tuple[int, int], int] = {(0, 0): 1}
+    for n in range(1, total + 1):
+        for g1 in range(n + 1):
+            g2 = n - g1
+            dims[(g1, g2)] = -sum(
+                sign * dims[(g1 - c1, g2 - c2)] for (c1, c2), sign in terms.items() if c1 <= g1 and c2 <= g2
+            )
+    return dims
+
+
 def apply_word(word: ReflectionWord, point: RootVector, cartan: CartanData) -> RootVector:
     """Apply the composition: letters[0] first."""
     for i in word.letters:

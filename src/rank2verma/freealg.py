@@ -6,6 +6,7 @@ by framed Serre relators, and the matrices whose kernels are asked for, go
 through one exact core: sparse fraction-free elimination of integer rows to
 reduced echelon form.  Quotient bases, reductions and kernel bases are read
 off its pivot set, which is canonical, so they are deterministic and exact.
+Elimination mod a prime only chooses which rows to hand to that core.
 Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
 blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
 environment variable.
@@ -233,6 +234,36 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
             row = _eliminate(row, pivots[col], col)
         pivots[lead] = row
     return pivots
+
+
+_PRIME = (1 << 61) - 1
+
+
+def independent_rows(rows: list[dict[int, int]]) -> list[int]:
+    """Indices, in increasing order, of the sparse integer rows that lead a
+    pivot when the matrix is eliminated modulo the prime 2^61 - 1, sparsest
+    rows first.  They are linearly independent over Q, and their number is
+    the rank mod p, which is at most the rank over Q."""
+    pivots: dict[int, dict[int, int]] = {}
+    chosen = []
+    for k in sorted(range(len(rows)), key=lambda k: len(rows[k])):
+        row = {j: v % _PRIME for j, v in rows[k].items() if v % _PRIME}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, _PRIME)
+                pivots[lead] = {j: v * inv % _PRIME for j, v in row.items()}
+                chosen.append(k)
+                break
+            f = row[lead]
+            for j, v in prow.items():
+                x = (row.get(j, 0) - f * v) % _PRIME
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return sorted(chosen)
 
 
 def kernel_basis(rows: list, ncols: int) -> list[list[Fraction]]:

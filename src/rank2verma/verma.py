@@ -11,7 +11,8 @@ The weight enters the e-action matrix of a grade only affinely, through
 lambda(h1) in the e1 block and lambda(h2) in the e2 block, while the
 quotient reduction does not depend on it.  So each grade's matrix is built
 once per process, as two weight-independent integer parts per block, and a
-weight costs one integer row assembly plus the kernel.
+weight costs one integer row assembly plus a kernel on the grade's cached
+independent rows, checked against the others.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .freealg import (
     FreeElement,
     GradedQuotient,
     graded_quotient,
+    independent_rows,
     kernel_basis,
 )
 from .gamma import WeightParam, kac_kazhdan
@@ -181,6 +183,49 @@ def _e_action_rows(g1: int, g2: int, weight: WeightParam, cartan: CartanData) ->
     return rows
 
 
+# (p, q, g1, g2) -> (chosen, rest): the row indices of a grade's e-action
+# matrix that are independent at some weight where its rank is ncols - 1,
+# and the other indices; set once, never replaced
+_INDEPENDENT_ROWS_CACHE: dict[tuple[int, int, int, int], tuple[list[int], list[int]]] = {}
+
+
+def _kills(rows: list[dict[int, int]], vec: list[Fraction]) -> bool:
+    """True when every sparse integer row is orthogonal to the vector,
+    checked in ints on the vector times the lcm of its denominators."""
+    den = 1
+    for c in vec:
+        den = math.lcm(den, c.denominator)
+    x = [c.numerator * (den // c.denominator) for c in vec]
+    return all(sum(v * x[j] for j, v in row.items()) == 0 for row in rows)
+
+
+def _kernel(g1: int, g2: int, weight: WeightParam, cartan: CartanData, ncols: int) -> list[list[Fraction]]:
+    """`kernel_basis` of the e-action matrix of grade (g1, g2) at the weight.
+
+    The first weight at which the rows independent mod 2^61 - 1 number
+    ncols - 1 fixes them for the grade.  A weight is then solved on those
+    rows alone, and the answer is kept when it is one vector that every
+    other row kills: the chosen rows have rank ncols - 1 and the full
+    matrix kills their kernel vector, so both have the same row space and
+    the same reduced echelon form.  Anything else, a larger kernel or a row
+    that fails, is solved on all rows.
+    """
+    rows = _e_action_rows(g1, g2, weight, cartan)
+    key = (cartan.p, cartan.q, g1, g2)
+    split = _INDEPENDENT_ROWS_CACHE.get(key)
+    if split is None:
+        found = independent_rows(rows)
+        if len(found) != ncols - 1:
+            return kernel_basis(rows, ncols)
+        taken = set(found)
+        split = _INDEPENDENT_ROWS_CACHE[key] = (found, [k for k in range(len(rows)) if k not in taken])
+    chosen, rest = split
+    kern = kernel_basis([rows[k] for k in chosen], ncols)
+    if len(kern) == 1 and _kills([rows[k] for k in rest], kern[0]):
+        return kern
+    return kernel_basis(rows, ncols)
+
+
 def singular_vectors(
     weight: WeightParam, root: RootVector, m: int, cartan: CartanData
 ) -> SingularVectorResult:
@@ -191,7 +236,7 @@ def singular_vectors(
     if (g1, g2) == (0, 0) or g1 < 0 or g2 < 0:
         raise ValueError(f"grade ({g1}, {g2}) is not a valid search grade")
     source = graded_quotient(g1, g2, cartan)
-    kern = kernel_basis(_e_action_rows(g1, g2, weight, cartan), source.dim)
+    kern = _kernel(g1, g2, weight, cartan, source.dim)
     vectors = []
     for vec in kern:
         elem = FreeElement(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma.cartan import CartanData
+from rank2verma.cartan import CartanData, denominator_dims
 from rank2verma.freealg import (
     DEFAULT_GRADE_CAP,
     FreeElement,
@@ -12,6 +12,7 @@ from rank2verma.freealg import (
     GradedQuotient,
     check_grade,
     graded_quotient,
+    independent_rows,
     kernel_basis,
     serre_element,
     serre_grade,
@@ -97,6 +98,38 @@ def test_kernel_basis_frozen():
     for vec in kern:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
     assert kernel_basis([[F(0), F(0)]], 2) == [[F(1), F(0)], [F(0), F(1)]]
+
+
+def test_independent_rows():
+    # sparsest rows first: row 2 leads column 1, row 0 column 0, and rows 1
+    # and 3 reduce to zero
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 5}, {0: 3, 1: 1, 2: 9}]
+    assert independent_rows(rows) == [0, 2]
+    assert independent_rows([{}, {2: 7}]) == [1]
+    # a row that vanishes mod 2^61 - 1 is never chosen, so the count can
+    # fall below the rank over Q, never above it
+    prime = (1 << 61) - 1
+    assert independent_rows([{0: prime, 1: 2 * prime}, {1: 1}]) == [1]
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1)])
+def test_quotient_dims_match_denominator_identity(p, q):
+    # the free algebra modulo the two Serre relators is U(n^-) (Gabber-Kac),
+    # whose graded dimensions the Weyl-Kac denominator identity gives
+    cd = CartanData(p, q)
+    dims = denominator_dims(10, cd)
+    assert len(dims) == 66
+    for (g1, g2), dim in dims.items():
+        assert graded_quotient(g1, g2, cd).dim == dim, (g1, g2)
+
+
+def test_denominator_dims_frozen():
+    # (2, 3) at (5, 12), over the grade cap, and (8, 5), W3's largest grade
+    dims = denominator_dims(17, CartanData(2, 3))
+    assert (dims[(5, 12)], dims[(8, 5)]) == (631, 197)
+    assert denominator_dims(2, CartanData(2, 2)) == {
+        (0, 0): 1, (0, 1): 1, (1, 0): 1, (0, 2): 1, (1, 1): 2, (2, 0): 1,
+    }
 
 
 def test_quotient_dims_frozen():

@@ -5,11 +5,12 @@ import pytest
 
 from rank2verma import freealg, pbw, verma
 from rank2verma.cartan import CartanData, RootVector, family_root
-from rank2verma.freealg import FreeElement, graded_quotient, serre_element
+from rank2verma.freealg import FreeElement, graded_quotient, kernel_basis, serre_element
 from rank2verma.gamma import WeightParam, case_weight, random_rational
 from rank2verma.pbw import project
 from rank2verma.verma import (
     _e_action_rows,
+    _normalize,
     annihilates,
     e_action,
     ideal_e_stable,
@@ -105,9 +106,8 @@ def test_singular_vectors_frozen_dim3_kernel():
     # lines too; the kernel has dimension 3, and the order and normalization
     # of its basis (one vector per free column) are pinned here
     cd = CartanData(2, 2)
+    root = family_root(2, 1, cd)
     w = case_weight(2, 1, cd).at(3, Fraction(-3, 2))
-    res = singular_vectors(w, family_root(2, 1, cd), 3, cd)
-    assert (res.grade, res.quotient_dim, res.kernel_dim) == ((3, 6), 22, 3)
     F = Fraction
     expected = [
         {
@@ -132,17 +132,45 @@ def test_singular_vectors_frozen_dim3_kernel():
             (2, 2, 2, 2, 2, 2, 1, 1, 1): F(1),
         },
     ]
-    assert [vec.coeffs for vec in res.vectors] == expected
-    assert all(annihilates(vec, w, cd) for vec in res.vectors)
+    # from cold caches, then after a generic t has fixed the grade's
+    # independent rows, so that the answer comes from the fallback
+    try:
+        _clear_caches()
+        for warm in (False, True):
+            if warm:
+                singular_vectors(case_weight(2, 1, cd).at(3, F(1, 3)), root, 3, cd)
+                assert (2, 2, 3, 6) in verma._INDEPENDENT_ROWS_CACHE
+            res = singular_vectors(w, root, 3, cd)
+            assert (res.grade, res.quotient_dim, res.kernel_dim) == ((3, 6), 22, 3)
+            assert [vec.coeffs for vec in res.vectors] == expected
+            assert all(annihilates(vec, w, cd) for vec in res.vectors)
+            # a nongeneric first weight caches no rows
+            assert ((2, 2, 3, 6) in verma._INDEPENDENT_ROWS_CACHE) == warm
+    finally:
+        _clear_caches()
 
 
 def test_off_line_weight_has_no_singular_vector():
+    # also once a weight on the line x = 1 has cached the grade's rows: the
+    # one chosen row set is empty there, and the row it leaves out must
+    # reject the vector it lets through
     cd = CartanData(2, 2)
     w = WeightParam(Fraction(13, 9), Fraction(4, 7), shifted=True)
-    res = singular_vectors(w, RootVector(1, 0), 1, cd)
-    assert not res.on_line
-    assert res.kernel_dim == 0
-    assert res.vector is None
+    try:
+        _clear_caches()
+        for warm in (False, True):
+            if warm:
+                on_line = WeightParam(Fraction(1), Fraction(4, 7), shifted=True)
+                assert singular_vectors(on_line, RootVector(1, 0), 1, cd).kernel_dim == 1
+                assert verma._INDEPENDENT_ROWS_CACHE[(2, 2, 1, 0)] == ([], [0])
+            res = singular_vectors(w, RootVector(1, 0), 1, cd)
+            assert not res.on_line
+            assert res.kernel_dim == 0
+            assert res.vector is None
+            # an off-line first weight, of full rank, caches no rows
+            assert ((2, 2, 1, 0) in verma._INDEPENDENT_ROWS_CACHE) == warm
+    finally:
+        _clear_caches()
 
 
 def test_imaginary_grade_generic_weight_empty():
@@ -206,6 +234,19 @@ def _same_up_to_scale(row, exact):
 ORACLE_PAIRS = [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1)]
 
 
+def _family_grades(cd, total):
+    """{grade: [(case, n, m), ...]} for every family grade m*root with
+    g1 + g2 <= total."""
+    out = {}
+    for case in (1, 2, 3, 4):
+        for n in range(1, total + 1):
+            root = family_root(case, n, cd)
+            for m in range(1, total + 1):
+                if m * (root.k1 + root.k2) <= total:
+                    out.setdefault((m * root.k1, m * root.k2), []).append((case, n, m))
+    return out
+
+
 @pytest.mark.parametrize("p,q", ORACLE_PAIRS)
 def test_cached_e_action_rows_match_column_by_column(p, q):
     # every grade up to total 9, at three t values, one of them of
@@ -213,13 +254,7 @@ def test_cached_e_action_rows_match_column_by_column(p, q):
     # weight on the reducibility line is used too, so kernels are nonempty
     cd = CartanData(p, q)
     ts = (Fraction(1, 3), Fraction(-7, 2), random_rational(random.Random(p * 10 + q)))
-    on_line = {}
-    for case in (1, 2, 3, 4):
-        for n in range(1, 5):
-            root = family_root(case, n, cd)
-            for m in range(1, 10):
-                if m * (root.k1 + root.k2) <= 9:
-                    on_line.setdefault((m * root.k1, m * root.k2), []).append((case, n, m))
+    on_line = _family_grades(cd, 9)
     kernels = 0
     for total in range(1, 10):
         for g1 in range(total + 1):
@@ -242,7 +277,81 @@ def test_cached_e_action_rows_match_column_by_column(p, q):
 def _clear_caches():
     freealg._QUOTIENT_CACHE.clear()
     verma._E_ACTION_CACHE.clear()
+    verma._INDEPENDENT_ROWS_CACHE.clear()
     pbw._PROJECTION_CACHE.clear()
+
+
+def _kernel_on_all_rows(weight, g1, g2, cd):
+    source = graded_quotient(g1, g2, cd)
+    return [
+        _normalize(FreeElement({w: c for w, c in zip(source.basis_words, vec) if c}))
+        for vec in kernel_basis(_e_action_rows(g1, g2, weight, cd), source.dim)
+    ]
+
+
+@pytest.mark.parametrize("p,q", ORACLE_PAIRS)
+def test_singular_vectors_match_kernel_on_all_rows(p, q):
+    # at every family grade with g1 + g2 <= 9 and each family weight there,
+    # solving on the cached independent rows gives what eliminating every
+    # row gives; the first t fixes the rows, t = -3/2 is nongeneric at some
+    # grades, and a weight moved off the line of each grade's first family
+    # has no kernel vector to pass the check
+    cd = CartanData(p, q)
+    ts = (Fraction(1, 3), Fraction(-7, 2), random_rational(random.Random(p * 10 + q + 1)), Fraction(-3, 2))
+    try:
+        _clear_caches()
+        for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
+            weights = [
+                (case_weight(case, n, cd).at(m, t), family_root(case, n, cd), m)
+                for case, n, m in families
+                for t in ts
+            ]
+            case, n, m = families[0]
+            off = case_weight(case, n, cd).at(m, ts[0])
+            off = WeightParam(off.x + Fraction(1, 7), off.y + Fraction(1, 5), off.shifted)
+            weights.append((off, family_root(case, n, cd), m))
+            for weight, root, m in weights:
+                res = singular_vectors(weight, root, m, cd)
+                assert list(res.vectors) == _kernel_on_all_rows(weight, g1, g2, cd), (g1, g2, weight)
+            assert res.kernel_dim == 0  # at the weight moved off the line
+            chosen, rest = verma._INDEPENDENT_ROWS_CACHE[(p, q, g1, g2)]
+            assert len(chosen) == graded_quotient(g1, g2, cd).dim - 1
+            assert sorted(chosen + rest) == list(range(len(_e_action_rows(g1, g2, off, cd))))
+    finally:
+        _clear_caches()
+
+
+@pytest.mark.parametrize("case", [2, 4])
+def test_critical_level_kernel_dims(case, monkeypatch):
+    # at (2,2), t = -m/2 puts the shifted weight of cases 2 and 4 on
+    # x + y = 0, the line of the imaginary root (1,1), where the kernel at
+    # grade m*root has dimension m; once a generic t has fixed the rows, the
+    # kernels of dimension 2 and 3 come from eliminating every row
+    cd = CartanData(2, 2)
+    root = family_root(case, 1, cd)
+    calls = []
+
+    def recording(rows, ncols):
+        calls.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(verma, "kernel_basis", recording)
+    try:
+        _clear_caches()
+        for m, dim in ((1, 3), (2, 9), (3, 22)):
+            g1, g2 = m * root.k1, m * root.k2
+            singular_vectors(case_weight(case, 1, cd).at(m, Fraction(1, 3)), root, m, cd)
+            weight = case_weight(case, 1, cd).at(m, Fraction(-m, 2))
+            assert weight.to_shifted().x + weight.to_shifted().y == 0
+            calls.clear()
+            res = singular_vectors(weight, root, m, cd)
+            assert (res.quotient_dim, res.kernel_dim) == (dim, m)
+            assert list(res.vectors) == _kernel_on_all_rows(weight, g1, g2, cd)
+            assert all(annihilates(vec, weight, cd) for vec in res.vectors)
+            nrows = len(_e_action_rows(g1, g2, weight, cd))
+            assert calls == ([dim - 1] if m == 1 else [dim - 1, nrows])
+    finally:
+        _clear_caches()
 
 
 def test_results_independent_of_warm_caches():
