@@ -4,9 +4,12 @@ Words are tuples over {1, 2}, compared lexicographically with 1 < 2, and a
 grade (g1, g2) counts occurrences of each letter.  The ideal slice spanned
 by framed Serre relators, and the matrices whose kernels are asked for, go
 through one exact core: sparse fraction-free elimination of integer rows to
-reduced echelon form.  Quotient bases, reductions and kernel bases are read
-off its pivot set, which is canonical, so they are deterministic and exact.
-Elimination mod a prime only chooses which rows to hand to that core.
+reduced echelon form.  Quotient bases and reductions are read off its pivot
+set with each row led at its lowest column; kernels are eliminated with each
+row led at its highest column, which takes far fewer steps on e-action
+matrices, and brought back to the lowest-lead normalization.  Pivot sets are
+canonical, so all of these are deterministic and exact.  Elimination mod a
+prime only chooses which rows to hand to that core.
 Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
 blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
 environment variable.
@@ -270,20 +273,39 @@ def kernel_basis(rows: list, ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of the matrix, one vector per free column,
     each normalized with a 1 in its free coordinate and 0 in the other free
     coordinates, which fixes it uniquely.  A row is either a sparse
-    {column: nonzero int} dict or a dense sequence of rationals."""
+    {column: nonzero int} dict or a dense sequence of rationals.
+
+    The free columns are those of the reduced echelon form with rows led
+    at their lowest column, so each basis vector ends at its free column.
+    The elimination itself leads each row at its highest column instead,
+    by feeding `_echelon` the columns relabelled j -> ncols - 1 - j: on
+    e-action matrices that order needs far fewer elimination steps.  The
+    kernel vectors it gives are then brought back to the normalization
+    above by the same echelon, relabelled the same way, on those few
+    vectors: each is led at its highest column and scaled to lead 1.
+    """
+    last = ncols - 1
     pivots = _echelon(
-        _primitive(row) if isinstance(row, dict) else _integer_row(enumerate(row)) for row in rows
+        {last - j: v for j, v in _primitive(row).items()} if isinstance(row, dict)
+        else _integer_row((last - j, v) for j, v in enumerate(row))
+        for row in rows
     )
-    basis = []
+    kernel = []
     for free in range(ncols):
-        if free in pivots:
-            continue
+        if free not in pivots:
+            # 1 at the free column and -a/d at each lead whose row has a
+            # there, all times the lcm of those d
+            leads = [(lead, prow[lead], prow[free]) for lead, prow in pivots.items() if free in prow]
+            den = math.lcm(*(d for _, d, _ in leads))
+            vec = {free: den}
+            for lead, d, a in leads:
+                vec[lead] = -a * (den // d)
+            kernel.append(_primitive(vec))
+    basis = []
+    for lead, row in sorted(_echelon(kernel).items(), reverse=True):
         vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for lead, prow in pivots.items():
-            a = prow.get(free)
-            if a:
-                vec[lead] = Fraction(-a, prow[lead])
+        for j, v in row.items():
+            vec[last - j] = Fraction(v, row[lead])
         basis.append(vec)
     return basis
 

@@ -5,12 +5,16 @@ three-dimensional target factors as a product of quadratic factors X_u,
 with subscripts given by alternating partial sums of the Gamma columns,
 followed by a single trailing generator power.  Subscripts are affine in
 the rewrite variable xi; multiplicities and the trailing exponent are
-integer multiples of m.  end_to_end() checks the factorization against the
-brute-force singular vector, exactly, at generic rational t samples.
+integer multiples of m.  The product is multiplied out once per family and
+target with xi left free, as integer polynomials in xi on each monomial, and
+evaluated at each sample's xi.  end_to_end() checks the factorization
+against the brute-force singular vector, exactly, at generic rational t
+samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +28,7 @@ from .gamma import (
     case_weight,
     xi_of_mt,
 )
-from .pbw import PBWElement, f_power, project, projection_defined, quadratic_factor
+from .pbw import Monomial, PBWElement, _mono_mul, project, projection_defined
 from .verma import singular_vectors
 
 
@@ -60,6 +64,8 @@ def _block(family: str, w: int, r: int, s: int, m: int, table: GammaTable) -> Fa
     plain, even w: count (G1^w-G2^w)m,        u(k) = alt2(w+1..r,+)xi + alt1(w-1..s,-)m - (k-1)
     tilde, odd w:  count (G2^{w+1}-G2^w)m,    u(k) = alt1(w..r,+)xi + alt2(w..s,-)m - (k-1)
     tilde, even w: count (G2^{w+1}-G2^w)m,    u(k) = alt1(w..r,-)xi + alt2(w..s,+)m + k
+
+    A negative count gives no subscripts; `build_product` refuses it.
     """
     odd = w % 2 == 1
     if family == "plain":
@@ -85,8 +91,6 @@ def _block(family: str, w: int, r: int, s: int, m: int, table: GammaTable) -> Fa
             ks = range(1, count + 1)
     else:
         raise ValueError("family must be 'plain' or 'tilde'")
-    if count < 0:
-        raise ValueError(f"negative factor multiplicity in block {w}")
     subs = tuple(AffineForm(b * m + k, 0, a, "xi") for k in ks)
     return FactorBlock(family, w, count, subs)
 
@@ -128,9 +132,13 @@ def build_product(case: int, n: int, m: int, cartan: CartanData) -> ProductSpec:
         tail_letter, tail_power = 1, (g.g2(2 * n + 1) - g.g2(2 * n)) * m
     else:
         raise ValueError("case must be 1, 2, 3, or 4")
+    where = f"case {case}, n = {n}, m = {m} at (p, q) = ({cartan.p}, {cartan.q})"
     if tail_power < 0:
-        raise ValueError("negative trailing exponent; factorization undefined here")
+        raise ValueError(f"{where}: negative trailing exponent; factorization undefined here")
     blocks = tuple(_block(family, w, r, s, m, g) for w in range(1, top + 1))
+    for block in blocks:
+        if block.count < 0:
+            raise ValueError(f"{where}: negative factor multiplicity in block {block.w}")
     spec = ProductSpec(case, n, m, blocks, tail_letter, tail_power)
 
     root = family_root(case, n, cartan)
@@ -141,15 +149,87 @@ def build_product(case: int, n: int, m: int, cartan: CartanData) -> ProductSpec:
     return spec
 
 
-def expand_product(spec: ProductSpec, xi_value: Fraction, target: str) -> PBWElement:
-    """Multiply the factors at a concrete xi into the target algebra."""
-    out = PBWElement.one(target)
+# (spec, target) -> (den, degree, {monomial: integer coefficients of a
+# polynomial in xi, constant first}): the factor product over the common
+# denominator den, built once per process; shared and never mutated
+_PRODUCT_CACHE: dict[tuple[ProductSpec, str], tuple[int, int, dict[Monomial, tuple[int, ...]]]] = {}
+
+
+def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[Monomial, tuple[int, ...]]]:
+    """The factor product with xi left free, from the cache.
+
+    Each subscript is u = c + a*xi with integer c and a, so X_u is
+    f2 f1 + (c + a*xi) h, minus (c + a*xi)(c - 1 + a*xi)/2 in "L": twice
+    that has integer polynomials in xi on each monomial.  The factors are
+    multiplied one by one through the closed-form monomial product, which
+    is integral (the structure constants are integers), on integer
+    polynomials over the common denominator 2^(number of factors) in "L".
+    The result is reduced by the gcd of everything and kept with the
+    largest degree that occurs.
+    """
+    key = (spec, target)
+    cached = _PRODUCT_CACHE.get(key)
+    if cached is not None:
+        return cached
+    # each factor as {monomial: polynomial in xi, constant first}, twice
+    # X_u in "L"
+    factors: list[dict[Monomial, list[int]]] = []
     for block in spec.blocks:
         for sub in block.subscripts:
-            out = out * quadratic_factor(sub.at(0, xi_value), target)
+            c, a = int(sub.c0), int(sub.cv)
+            if target == "L":
+                factors.append({
+                    (1, 1, 0): [2],
+                    (0, 0, 1): [2 * c, 2 * a],
+                    (0, 0, 0): [-c * (c - 1), -a * (2 * c - 1), -a * a],
+                })
+            else:
+                factors.append({(1, 1, 0): [1], (0, 0, 1): [c, a]})
+    den = 1 << len(factors) if target == "L" else 1
     if spec.tail_power:
-        out = out * f_power(spec.tail_letter, spec.tail_power, target)
-    return out
+        tail = (0, spec.tail_power, 0) if spec.tail_letter == 1 else (spec.tail_power, 0, 0)
+        factors.append({tail: [1]})
+    out: dict[Monomial, list[int]] = {(0, 0, 0): [1]}
+    for factor in factors:
+        width = max(map(len, out.values())) + max(map(len, factor.values())) - 1
+        nxt: dict[Monomial, list[int]] = {}
+        for k1, p1 in out.items():
+            for k2, p2 in factor.items():
+                for k, c in _mono_mul(k1, k2, target).items():
+                    poly = nxt.setdefault(k, [0] * width)
+                    for d1, v1 in enumerate(p1):
+                        if v1:
+                            fv = c.numerator * v1
+                            for d2, v2 in enumerate(p2):
+                                poly[d1 + d2] += fv * v2
+        out = {}
+        for k, poly in nxt.items():
+            while poly and not poly[-1]:
+                poly.pop()
+            if poly:
+                out[k] = poly
+    g = math.gcd(den, *(v for poly in out.values() for v in poly))
+    polys = {k: tuple(v // g for v in poly) for k, poly in out.items()}
+    degree = max((len(poly) - 1 for poly in polys.values()), default=0)
+    _PRODUCT_CACHE[key] = cached = (den // g, degree, polys)
+    return cached
+
+
+def expand_product(spec: ProductSpec, xi_value: Fraction, target: str) -> PBWElement:
+    """The product of the factors at a concrete xi in the target algebra:
+    its cached polynomial in xi evaluated at xi = X/D in ints, as
+    D^degree times each polynomial, with one Fraction per monomial."""
+    den, degree, polys = _product_polynomial(spec, target)
+    xi = Fraction(xi_value)
+    X, D = xi.numerator, xi.denominator
+    weights = [X**i * D ** (degree - i) for i in range(degree + 1)]
+    scale = den * D**degree
+    out = {}
+    for k, coeffs in polys.items():
+        v = sum(c * w for c, w in zip(coeffs, weights))
+        if v:
+            out[k] = Fraction(v, scale)
+    return PBWElement(target, out)
 
 
 def proportionality(left: PBWElement, right: PBWElement) -> Fraction | None:

@@ -12,7 +12,8 @@ lambda(h1) in the e1 block and lambda(h2) in the e2 block, while the
 quotient reduction does not depend on it.  So each grade's matrix is built
 once per process, as two weight-independent integer parts per block, and a
 weight costs one integer row assembly plus a kernel on the grade's cached
-independent rows, checked against the others.
+independent rows, checked against the others.  The kernel eliminates each
+row at its highest column (see `freealg.kernel_basis`).
 """
 
 from __future__ import annotations

@@ -333,3 +333,16 @@ def test_exponents_m_below_one_rejected(capsys, value):
                                   "--n", "1", "--m", value, "--t", "1/3"])
     assert (code, out) == (2, "")
     assert f"--m must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "cases, problem",
+    [("1,2,3,4", "negative trailing exponent"), ("2", "negative factor multiplicity in block 3")],
+)
+def test_verify_refused_family_named(capsys, cases, problem):
+    # at (1, 4) the telescoped multiplicities of these n = 2 families go
+    # negative; the message names the family that was refused
+    code, out, err = run(capsys, ["verify", "--p", "1", "--q", "4", "--cases", cases,
+                                  "--n", "2", "--m", "1"])
+    assert (code, out) == (2, "")
+    assert f"case {cases[0]}, n = 2, m = 1 at (p, q) = (1, 4): {problem}" in err

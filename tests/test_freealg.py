@@ -1,10 +1,12 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from rank2verma.cartan import CartanData, denominator_dims
+from rank2verma import freealg
+from rank2verma.cartan import CartanData, denominator_dims, family_root
 from rank2verma.freealg import (
     DEFAULT_GRADE_CAP,
     FreeElement,
@@ -20,6 +22,8 @@ from rank2verma.freealg import (
     word_str,
     words_of_grade,
 )
+from rank2verma.gamma import case_weight, random_rational
+from rank2verma.verma import _e_action_rows
 
 
 def test_words_of_grade_counts_and_order():
@@ -98,6 +102,75 @@ def test_kernel_basis_frozen():
     for vec in kern:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
     assert kernel_basis([[F(0), F(0)]], 2) == [[F(1), F(0)], [F(0), F(1)]]
+
+
+def _lowest_lead_kernel(rows, ncols):
+    """Reference kernel, read off the reduced echelon form with every row
+    led at its lowest column: one vector per free column, 1 there, 0 at
+    the other free columns and -a/d at each lead d whose row has a there."""
+    pivots = freealg._echelon(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for lead, prow in pivots.items():
+            if free in prow:
+                vec[lead] = Fraction(-prow[free], prow[lead])
+        basis.append(vec)
+    return basis
+
+
+def _random_matrix(rng, nrows, ncols, rank, density):
+    """Dense rational rows of a product of random nrows x rank and rank x
+    ncols matrices, entries zero with probability 1 - density."""
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < density else Fraction(0)
+
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((a * right[k][j] for k, a in enumerate(row)), Fraction(0)) for j in range(ncols)] for row in left]
+
+
+def test_kernel_basis_matches_lowest_lead_reference():
+    # kernels are eliminated with rows led at their highest column and then
+    # brought back to the lowest-lead normalization; the two must agree on
+    # random matrices of every rank, dense and sparse, and on all e-action
+    # rows at every family grade with g1 + g2 <= 10, at generic t and at the
+    # nongeneric t = -3/2 and -1/2
+    rng = random.Random(2024)
+    dims, ranks = set(), set()
+    for _ in range(400):
+        rank = rng.randint(0, 6)
+        nrows, ncols = rng.randint(max(rank, 1), 7), rng.randint(max(rank, 1), 7)
+        rows = _random_matrix(rng, nrows, ncols, rank, rng.choice((1.0, 0.4)))
+        sparse = [freealg._integer_row(enumerate(row)) for row in rows]
+        kern = _lowest_lead_kernel(sparse, ncols)
+        assert kernel_basis(rows, ncols) == kern
+        assert kernel_basis([row for row in sparse if row], ncols) == kern
+        dims.add(len(kern))
+        ranks.add(ncols - len(kern))
+    assert ranks == set(range(7))
+    grade_dims = set()
+    for p, q in ((2, 2), (2, 3), (3, 3), (1, 4), (4, 1)):
+        cd = CartanData(p, q)
+        ts = (Fraction(1, 3), Fraction(-7, 2), Fraction(-3, 2), Fraction(-1, 2), random_rational(random.Random(p * 10 + q)))
+        for case in (1, 2, 3, 4):
+            for n in range(1, 11):
+                root = family_root(case, n, cd)
+                for m in range(1, 11):
+                    g1, g2 = m * root.k1, m * root.k2
+                    if g1 + g2 > 10:
+                        continue
+                    ncols = graded_quotient(g1, g2, cd).dim
+                    for t in ts:
+                        rows = _e_action_rows(g1, g2, case_weight(case, n, cd).at(m, t), cd)
+                        kern = kernel_basis(rows, ncols)
+                        assert kern == _lowest_lead_kernel(rows, ncols), (p, q, case, n, m, t)
+                        grade_dims.add(len(kern))
+    assert {0, 1, 2, 3} <= dims
+    assert grade_dims == {1, 3}  # dim 3 at (2,2), case 2 or 4, m = 3, t = -3/2
 
 
 def test_independent_rows():

@@ -1,11 +1,13 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from rank2verma import freealg
 from rank2verma.cartan import CartanData
-from rank2verma.gamma import AffineForm, GammaTable
-from rank2verma.pbw import PBWElement
+from rank2verma.gamma import AffineForm, GammaTable, random_rational
+from rank2verma.pbw import TARGETS, PBWElement, f_power, quadratic_factor
 from rank2verma.products import (
     alt_sum,
     build_product,
@@ -84,6 +86,65 @@ def test_expand_product_frozen():
     spec = build_product(4, 1, 1, cd)
     out = expand_product(spec, Fraction(2), "H")
     assert out.coeffs == {(1, 2, 0): Fraction(1), (0, 1, 1): Fraction(2)}
+
+
+def _factor_by_factor(spec, xi, target):
+    """The product multiplied out one factor at a time at a concrete xi."""
+    out = PBWElement.one(target)
+    for block in spec.blocks:
+        for sub in block.subscripts:
+            out = out * quadratic_factor(sub.at(0, xi), target)
+    if spec.tail_power:
+        out = out * f_power(spec.tail_letter, spec.tail_power, target)
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1)])
+def test_expand_product_matches_factor_by_factor(p, q):
+    # every family build_product accepts with n <= 2 and m <= 3, in both
+    # targets, at xi = 0, an integer, a xi where one subscript vanishes and
+    # a seeded random rational, of random_rational size for every other
+    # family
+    cd = CartanData(p, q)
+    rng = random.Random(p * 10 + q)
+    built = 0
+    for case in (1, 2, 3, 4):
+        for n in (1, 2):
+            for m in (1, 2, 3):
+                try:
+                    spec = build_product(case, n, m, cd)
+                except ValueError:
+                    continue
+                built += 1
+                small = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                xis = [Fraction(0), Fraction(-4), random_rational(rng) if built % 2 else small]
+                moving = [sub for block in spec.blocks for sub in block.subscripts if sub.cv]
+                if moving:
+                    xis.append(-moving[-1].c0 / moving[-1].cv)
+                    assert moving[-1].at(0, xis[-1]) == 0
+                for target in TARGETS:
+                    for xi in xis:
+                        got = expand_product(spec, xi, target)
+                        assert repr(got) == repr(_factor_by_factor(spec, xi, target)), (case, n, m, target, xi)
+    assert built >= 15
+
+
+def test_tsweep_records_frozen():
+    # the end_to_end records of the benchmark's tsweep-warm families
+    # (bench/workloads.py TSWEEP_FAMILIES) at 12 seeded t and at t = -3/2,
+    # where (2,2) case 2, m = 3 is nongeneric; the worker's determinism
+    # check compares digests of these reprs.  Digest taken when products
+    # were still multiplied out factor by factor at each t
+    families = ((2, 3, 1, 2, 1), (2, 2, 2, 1, 3), (3, 3, 1, 2, 1))
+    rng = random.Random(7)
+    ts = tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(12)) + (Fraction(-3, 2),)
+    records = []
+    for p, q, case, n, m in families:
+        records.extend(end_to_end(case, n, m, CartanData(p, q), t_samples=ts))
+    assert [r.status for r in records].count("nongeneric") == 2
+    assert len(records) == 78
+    digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
+    assert digest == "70d19c85f93b4f90eaa98aeb64de077c059717c466dfa54a99b53642e93fb3db"
 
 
 def test_proportionality():

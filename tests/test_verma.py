@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma import freealg, pbw, verma
+from rank2verma import freealg, pbw, products, verma
 from rank2verma.cartan import CartanData, RootVector, family_root
 from rank2verma.freealg import FreeElement, graded_quotient, kernel_basis, serre_element
-from rank2verma.gamma import WeightParam, case_weight, random_rational
+from rank2verma.gamma import WeightParam, case_weight, random_rational, xi_of_mt
 from rank2verma.pbw import project
+from rank2verma.products import build_product, expand_product
 from rank2verma.verma import (
     _e_action_rows,
     _normalize,
@@ -279,6 +280,7 @@ def _clear_caches():
     verma._E_ACTION_CACHE.clear()
     verma._INDEPENDENT_ROWS_CACHE.clear()
     pbw._PROJECTION_CACHE.clear()
+    products._PRODUCT_CACHE.clear()
 
 
 def _kernel_on_all_rows(weight, g1, g2, cd):
@@ -357,14 +359,20 @@ def test_critical_level_kernel_dims(case, monkeypatch):
 def test_results_independent_of_warm_caches():
     # (2,2) case 2, n = 1, m = 3 at t = 2/9, from cleared caches, then again
     # after other t values and other grades (whose quotients, e-action
-    # blocks and word images overlap) have warmed every cache
+    # blocks, word images and factor products overlap) have warmed every
+    # cache
     cd = CartanData(2, 2)
     root = family_root(2, 1, cd)
     weight = case_weight(2, 1, cd).at(3, Fraction(2, 9))
+    xi = xi_of_mt(2, 1, cd).at(3, Fraction(2, 9))
 
     def result():
         res = singular_vectors(weight, root, 3, cd)
-        return res, [project(v, tg) for v in res.vectors for tg in ("H", "L")]
+        return (
+            res,
+            [project(v, tg) for v in res.vectors for tg in ("H", "L")],
+            [expand_product(build_product(2, 1, 3, cd), xi, tg) for tg in ("H", "L")],
+        )
 
     try:
         _clear_caches()
@@ -374,9 +382,12 @@ def test_results_independent_of_warm_caches():
         for case, n, m in ((2, 1, 2), (4, 1, 3), (1, 1, 2), (2, 1, 3)):
             for t in (Fraction(-5, 3), random_rational(random.Random(m))):
                 res = singular_vectors(case_weight(case, n, cd).at(m, t), family_root(case, n, cd), m, cd)
-                for v in res.vectors:
-                    for tg in ("H", "L"):
+                for tg in ("H", "L"):
+                    for v in res.vectors:
                         project(v, tg)
+                    form = xi_of_mt(case, n, cd)
+                    expand_product(build_product(case, n, m, cd), form.at(m, t) if form else Fraction(0), tg)
+        assert products._PRODUCT_CACHE
         assert result() == cold
     finally:
         _clear_caches()
