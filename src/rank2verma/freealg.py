@@ -3,13 +3,14 @@
 Words are tuples over {1, 2}, compared lexicographically with 1 < 2, and a
 grade (g1, g2) counts occurrences of each letter.  The ideal slice spanned
 by framed Serre relators, and the matrices whose kernels are asked for, go
-through one exact core: sparse fraction-free elimination of integer rows to
-reduced echelon form.  Quotient bases and reductions are read off its pivot
-set with each row led at its lowest column; kernels are eliminated with each
-row led at its highest column, which takes far fewer steps on e-action
-matrices, and brought back to the lowest-lead normalization.  Pivot sets are
-canonical, so all of these are deterministic and exact.  Elimination mod a
-prime only chooses which rows to hand to that core.
+through one exact core: sparse fraction-free elimination of integer rows.
+Quotient bases and reductions are read off the reduced echelon form with
+each row led at its lowest column.  Kernels take only the forward phase,
+with each row led at its highest column (far fewer steps on e-action
+matrices), and back-solve each free column in ints; the few vectors this
+gives are brought to the lowest-lead normalization by the full form.  Pivot
+sets are canonical, so all of these are deterministic and exact.
+Elimination mod a prime only chooses which rows to hand to that core.
 Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
 blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
 environment variable.
@@ -95,7 +96,8 @@ class FreeElement:
         self.coeffs: dict[Word, Fraction] = {}
         if coeffs:
             for w, c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     self.coeffs[w] = c
 
@@ -204,21 +206,16 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
     return _primitive(out) if out else out
 
 
-def _echelon(rows) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form of sparse integer rows, fraction-free.
+def _forward(rows) -> dict[int, dict[int, int]]:
+    """Row echelon form of sparse integer rows, fraction-free.
 
     Rows stay integer: each step cross-multiplies two rows so that one
     column cancels, then divides out the content (integer-preserving
     elimination in the sense of Bareiss 1968, with the content in place of
     his exact divisor).  Rows go in sparsest first, which keeps fill-in
     down; a row is eliminated at its lowest column while that column leads
-    a stored row, and is stored under it otherwise, or dropped when it
-    vanishes.  Then, from the highest lead down, each stored row is cleared
-    at the other leads.
-
-    Returns {lead column: primitive integer row}.  Each row is its lead's
-    reduced row echelon row up to a scalar, so the leads (the pivot columns)
-    and everything read off the rows do not depend on the row order.
+    a stored row, and is stored under it as {lead: primitive integer row}
+    otherwise, or dropped when it vanishes.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
@@ -229,6 +226,16 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
                 pivots[lead] = row
                 break
             row = _eliminate(row, prow, lead)
+    return pivots
+
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form: `_forward`, then, from the highest lead
+    down, each stored row cleared at the other leads.  Each row is its
+    lead's reduced row echelon row up to a scalar, so the leads (the pivot
+    columns) and everything read off the rows do not depend on row order.
+    """
+    pivots = _forward(rows)
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         # the rows led by higher columns are already cleared, so removing
@@ -277,30 +284,35 @@ def kernel_basis(rows: list, ncols: int) -> list[list[Fraction]]:
 
     The free columns are those of the reduced echelon form with rows led
     at their lowest column, so each basis vector ends at its free column.
-    The elimination itself leads each row at its highest column instead,
-    by feeding `_echelon` the columns relabelled j -> ncols - 1 - j: on
-    e-action matrices that order needs far fewer elimination steps.  The
-    kernel vectors it gives are then brought back to the normalization
-    above by the same echelon, relabelled the same way, on those few
-    vectors: each is led at its highest column and scaled to lead 1.
+    The elimination leads each row at its highest column instead, by
+    feeding `_forward` the columns relabelled j -> ncols - 1 - j (far fewer
+    steps on e-action matrices), and each free column is back-substituted
+    through its rows in ints.  `_echelon`, relabelled the same way, brings
+    those few vectors to the normalization above: each led at its highest
+    column and scaled to lead 1.
     """
     last = ncols - 1
-    pivots = _echelon(
+    pivots = _forward(
         {last - j: v for j, v in _primitive(row).items()} if isinstance(row, dict)
         else _integer_row((last - j, v) for j, v in enumerate(row))
         for row in rows
     )
     kernel = []
-    for free in range(ncols):
-        if free not in pivots:
-            # 1 at the free column and -a/d at each lead whose row has a
-            # there, all times the lcm of those d
-            leads = [(lead, prow[lead], prow[free]) for lead, prow in pivots.items() if free in prow]
-            den = math.lcm(*(d for _, d, _ in leads))
-            vec = {free: den}
-            for lead, d, a in leads:
-                vec[lead] = -a * (den // d)
-            kernel.append(_primitive(vec))
+    for free in (j for j in range(ncols) if j not in pivots):
+        # 1 at the free column, 0 at the others, and from the highest lead
+        # down each lead below it solved from its row, kept integral
+        vec = [0] * ncols
+        vec[free] = 1
+        for lead in sorted((j for j in pivots if j < free), reverse=True):
+            prow = pivots[lead]
+            s = sum(v * vec[j] for j, v in prow.items())
+            if s:
+                d = prow[lead]
+                g = math.gcd(s, d)
+                if g != d:
+                    vec[lead:free + 1] = [d // g * v for v in vec[lead:free + 1]]
+                vec[lead] = -s // g
+        kernel.append(_primitive({j: v for j, v in enumerate(vec) if v}))
     basis = []
     for lead, row in sorted(_echelon(kernel).items(), reverse=True):
         vec = [Fraction(0)] * ncols

@@ -94,12 +94,6 @@ class AffineForm:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
@@ -129,9 +123,6 @@ class AffineForm:
         """Replace the variable by another affine form in (m, new variable)."""
         base = AffineForm(self.c0, self.cm, 0, replacement.variable or "t")
         return base + replacement * self.cv
-
-    def is_constant(self) -> bool:
-        return self.cm == 0 and self.cv == 0
 
     def __repr__(self):
         return f"AffineForm({self})"

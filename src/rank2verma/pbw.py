@@ -81,7 +81,8 @@ class PBWElement:
         self.coeffs: dict[Monomial, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     self.coeffs[k] = c
 

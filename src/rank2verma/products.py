@@ -235,15 +235,17 @@ def expand_product(spec: ProductSpec, xi_value: Fraction, target: str) -> PBWEle
 def proportionality(left: PBWElement, right: PBWElement) -> Fraction | None:
     """Scalar s with left == s * right, or None.  Zero elements never count
     as proportional to nonzero ones; s must be nonzero."""
-    if left.is_zero() or right.is_zero():
+    if right.is_zero() or left.target != right.target or left.coeffs.keys() != right.coeffs.keys():
         return None
-    key = min(right.coeffs)
-    if key not in left.coeffs:
-        return None
+    key = next(iter(right.coeffs))
     s = left.coeffs[key] / right.coeffs[key]
-    if s and left == right * s:
-        return s
-    return None
+    # left[k] == s * right[k] at every k, cross-multiplied
+    a, b = s.numerator, s.denominator
+    for k, c in left.coeffs.items():
+        r = right.coeffs[k]
+        if c.numerator * b * r.denominator != a * r.numerator * c.denominator:
+            return None
+    return s
 
 
 @dataclass(frozen=True)
@@ -268,6 +270,11 @@ class VerificationRecord:
     vector: FreeElement | None = None
     projection: PBWElement | None = None
     product: PBWElement | None = None
+
+
+# (case, n, m, cartan) -> (symbolic weight, xi as a form in (m, t) or None,
+# product spec), built once per process; shared and never mutated
+_FAMILY_CACHE: dict[tuple[int, int, int, CartanData], tuple[WeightParam, AffineForm | None, ProductSpec]] = {}
 
 
 def default_targets(cartan: CartanData) -> list[str]:
@@ -324,9 +331,11 @@ def end_to_end(
     if over_cap or not live:
         return records
 
-    weight = case_weight(case, n, cartan)
-    xi_form = xi_of_mt(case, n, cartan)
-    spec = build_product(case, n, m, cartan)
+    key = (case, n, m, cartan)
+    if key not in _FAMILY_CACHE:
+        _FAMILY_CACHE[key] = (case_weight(case, n, cartan), xi_of_mt(case, n, cartan),
+                              build_product(case, n, m, cartan))
+    weight, xi_form, spec = _FAMILY_CACHE[key]
 
     for t in t_samples:
         t = Fraction(t)
@@ -348,25 +357,18 @@ def end_to_end(
         for tg in live:
             proj = project(res.vector, tg)
             prod = expand_product(spec, xi_val, tg)
-            if proj.is_zero() and prod.is_zero():
-                records.append(
-                    VerificationRecord(
-                        **base, target=tg, t=t, xi=xi_val,
-                        quotient_dim=res.quotient_dim, kernel_dim=res.kernel_dim,
-                        status="nongeneric", scalar=None,
-                        reason="projection and product both vanish at this t",
-                        weight=w_val, vector=res.vector, projection=proj, product=prod,
-                    )
-                )
-                continue
             s = proportionality(proj, prod)
+            if s is not None:
+                status, reason = "ok", None
+            elif proj.is_zero() and prod.is_zero():
+                status, reason = "nongeneric", "projection and product both vanish at this t"
+            else:
+                status, reason = "failed", "projection is not a scalar multiple of the product"
             records.append(
                 VerificationRecord(
                     **base, target=tg, t=t, xi=xi_val,
                     quotient_dim=res.quotient_dim, kernel_dim=res.kernel_dim,
-                    status="ok" if s is not None else "failed",
-                    scalar=s,
-                    reason=None if s is not None else "projection is not a scalar multiple of the product",
+                    status=status, scalar=s, reason=reason,
                     weight=w_val, vector=res.vector, projection=proj, product=prod,
                 )
             )

@@ -12,8 +12,9 @@ lambda(h1) in the e1 block and lambda(h2) in the e2 block, while the
 quotient reduction does not depend on it.  So each grade's matrix is built
 once per process, as two weight-independent integer parts per block, and a
 weight costs one integer row assembly plus a kernel on the grade's cached
-independent rows, checked against the others.  The kernel eliminates each
-row at its highest column (see `freealg.kernel_basis`).
+independent rows, checked against the others: a forward elimination and an
+integer back-solve (see `freealg.kernel_basis`), whose vectors already have
+coefficient 1 at their lexicographically largest word.
 """
 
 from __future__ import annotations
@@ -107,14 +108,6 @@ class SingularVectorResult:
     @property
     def vector(self) -> FreeElement | None:
         return self.vectors[0] if self.vectors else None
-
-
-def _normalize(elem: FreeElement) -> FreeElement:
-    """Scale so the lexicographically largest support word has coefficient 1."""
-    if elem.is_zero():
-        return elem
-    top = max(elem.coeffs)
-    return elem * (1 / elem.coeffs[top])
 
 
 # one block per raising generator i: its index and one row per target basis
@@ -237,13 +230,11 @@ def singular_vectors(
     if (g1, g2) == (0, 0) or g1 < 0 or g2 < 0:
         raise ValueError(f"grade ({g1}, {g2}) is not a valid search grade")
     source = graded_quotient(g1, g2, cartan)
-    kern = _kernel(g1, g2, weight, cartan, source.dim)
-    vectors = []
-    for vec in kern:
-        elem = FreeElement(
-            {w: c for w, c in zip(source.basis_words, vec) if c}
-        )
-        vectors.append(_normalize(elem))
+    # each kernel vector has a 1 at its highest nonzero column: the largest word
+    vectors = [
+        FreeElement({w: c for w, c in zip(source.basis_words, vec) if c})
+        for vec in _kernel(g1, g2, weight, cartan, source.dim)
+    ]
     return SingularVectorResult(
         root=root,
         m=m,

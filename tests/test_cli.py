@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,24 @@ def test_verify_report_bytes_independent_of_warm_caches(capsys):
                                   "--n", "1,2", "--m", "1", "--seed", "7"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
+        "da8938c25162780913c68b4452a4eabb8f37bb42446e7d00834cd6bfc131c218"
+    )
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_verify_report_bytes_across_processes(hashseed):
+    # the acceptance grid in a fresh interpreter, with string hashing seeded
+    # differently, gives the bytes pinned above
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONHASHSEED=hashseed)
+    env.pop("VERMA_GRADE_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rank2verma", "verify", "--p", "2", "--q", "2", "--cases", "1,2,3,4",
+         "--n", "1,2", "--m", "1", "--seed", "7"],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
         "da8938c25162780913c68b4452a4eabb8f37bb42446e7d00834cd6bfc131c218"
     )
 

@@ -161,6 +161,36 @@ def test_proportionality():
     assert proportionality(z, z) is None
 
 
+def test_proportionality_edge_cases():
+    rng = random.Random(41)
+    keys = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+    for target in TARGETS:
+        big = [random_rational(rng, 10**30) for _ in keys]
+        right = PBWElement(target, dict(zip(keys, big)))
+        for s in (Fraction(1), Fraction(-1), Fraction(-3, 7), random_rational(rng, 10**40)):
+            left = right * s
+            assert proportionality(left, right) == s
+            # same support, one coefficient off by a tiny relative amount
+            for k in (keys[0], keys[7], keys[-1]):
+                off = dict(left.coeffs)
+                off[k] += Fraction(1, 10**90)
+                assert proportionality(PBWElement(target, off), right) is None
+                flipped = dict(left.coeffs)
+                flipped[k] = -flipped[k]
+                assert proportionality(PBWElement(target, flipped), right) is None
+        # different supports: one monomial more, one less, or moved
+        more = PBWElement(target, {**right.coeffs, (5, 5, 5): Fraction(1)})
+        assert proportionality(more, right) is None
+        assert proportionality(right, more) is None
+        fewer = PBWElement(target, {k: c for k, c in right.coeffs.items() if k != keys[3]})
+        assert proportionality(fewer, right) is None
+        assert proportionality(right, fewer) is None
+        moved = PBWElement(target, {(k[0] + 1, k[1], k[2]): c for k, c in right.coeffs.items()})
+        assert proportionality(moved, right) is None
+    h = PBWElement("H", {(1, 0, 0): Fraction(1)})
+    assert proportionality(PBWElement("L", {(1, 0, 0): Fraction(1)}), h) is None
+
+
 def test_end_to_end_frozen_scalar():
     # worked by hand: kernel vector at the (1, q) family, m = 1, t = 1/3
     # projects to 72/55 times X_{1-xi} f2 at xi = 11/6

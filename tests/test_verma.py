@@ -11,7 +11,6 @@ from rank2verma.pbw import project
 from rank2verma.products import build_product, expand_product
 from rank2verma.verma import (
     _e_action_rows,
-    _normalize,
     annihilates,
     e_action,
     ideal_e_stable,
@@ -281,12 +280,13 @@ def _clear_caches():
     verma._INDEPENDENT_ROWS_CACHE.clear()
     pbw._PROJECTION_CACHE.clear()
     products._PRODUCT_CACHE.clear()
+    products._FAMILY_CACHE.clear()
 
 
 def _kernel_on_all_rows(weight, g1, g2, cd):
     source = graded_quotient(g1, g2, cd)
     return [
-        _normalize(FreeElement({w: c for w, c in zip(source.basis_words, vec) if c}))
+        FreeElement({w: c for w, c in zip(source.basis_words, vec) if c})
         for vec in kernel_basis(_e_action_rows(g1, g2, weight, cd), source.dim)
     ]
 
@@ -321,6 +321,27 @@ def test_singular_vectors_match_kernel_on_all_rows(p, q):
             assert sorted(chosen + rest) == list(range(len(_e_action_rows(g1, g2, off, cd))))
     finally:
         _clear_caches()
+
+
+@pytest.mark.parametrize("p,q", ORACLE_PAIRS)
+def test_singular_vectors_lead_with_one(p, q):
+    # every vector has coefficient exactly 1 at its lexicographically
+    # largest word, at generic t and at t = -3/2 and -1, where some kernels
+    # of (2,2) have dimension 2 or 3
+    cd = CartanData(p, q)
+    ts = (Fraction(1, 3), Fraction(-3, 2), Fraction(-1), random_rational(random.Random(p * 10 + q + 2)))
+    dims = set()
+    for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
+        for case, n, m in families:
+            for t in ts:
+                res = singular_vectors(case_weight(case, n, cd).at(m, t), family_root(case, n, cd), m, cd)
+                dims.add(res.kernel_dim)
+                for vec in res.vectors:
+                    top = vec.coeffs[max(vec.coeffs)]
+                    assert type(top) is Fraction and top == 1, (g1, g2, case, n, m, t)
+    assert 1 in dims
+    if (p, q) == (2, 2):
+        assert {2, 3} <= dims
 
 
 @pytest.mark.parametrize("case", [2, 4])
