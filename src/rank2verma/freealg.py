@@ -76,23 +76,25 @@ def words_of_grade(g1: int, g2: int) -> list[Word]:
     return out
 
 
+_WORD_STR_CACHE: dict[Word, str] = {}  # word -> its display string
+
+
 def word_str(word: Word) -> str:
-    """Compressed display, e.g. (1,1,2) -> 'f1^2 f2'."""
-    if not word:
-        return "1"
-    parts = []
-    for letter, run in itertools.groupby(word):
-        k = sum(1 for _ in run)
-        parts.append(f"f{letter}" if k == 1 else f"f{letter}^{k}")
-    return " ".join(parts)
+    """Compressed display, e.g. (1,1,2) -> 'f1^2 f2', rendered once per word."""
+    word = tuple(word)
+    if word not in _WORD_STR_CACHE:
+        runs = ((a, sum(1 for _ in run)) for a, run in itertools.groupby(word))
+        _WORD_STR_CACHE[word] = " ".join(f"f{a}" if k == 1 else f"f{a}^{k}" for a, k in runs) or "1"
+    return _WORD_STR_CACHE[word]
 
 
 class FreeElement:
     """Finitely supported rational combination of words of one grade."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: dict[Word, Fraction] | None = None):
+        self._ints: tuple[int, dict[Word, int]] | None = None
         self.coeffs: dict[Word, Fraction] = {}
         if coeffs:
             for w, c in coeffs.items():
@@ -107,6 +109,15 @@ class FreeElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def integer_form(self) -> tuple[int, dict[Word, int]]:
+        """(den, {word: numerator}): the form set in `_ints` by the element's
+        builder, else one over the lcm of the denominators.  Equality, hash
+        and display read only `coeffs`."""
+        if self._ints is not None:
+            return self._ints
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        return den, {w: c.numerator * (den // c.denominator) for w, c in self.coeffs.items()}
 
     def grade(self) -> tuple[int, int] | None:
         grades = {word_grade(w) for w in self.coeffs}

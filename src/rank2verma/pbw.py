@@ -12,9 +12,9 @@ one adjacent swap at a time and doubles as an independent check.
 Free words project into a target through a per-process cache of word
 images keyed by (target, word): each image is built once, from its longest
 cached prefix, and kept as integer coefficients (the structure constants are
-integers, so no word image has a denominator).  `project` is one linear
-pass over a vector's support, summed in ints over the common denominator of
-the vector's coefficients.
+integers, so no word image has a denominator).  `project` dots a vector's
+integer form with cached integer rows, one per output monomial and grade,
+holding a column per word, added the first time the word is projected.
 
 The quadratic factors are X_u = f2 f1 + u*h in "H" and
 X_u = f2 f1 + u*h - u(u-1)/2 in "L"; the identity suites at the bottom
@@ -24,6 +24,7 @@ exercise their shift and sandwich laws.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .cartan import CartanData
@@ -271,18 +272,31 @@ def project_word(word: tuple[int, ...], target: str) -> PBWElement:
     return PBWElement(target, _word_image(tuple(word), target))
 
 
+# (target, g1, g2) -> (cols, rows): the words projected at that grade, in
+# column order, and per output monomial a dense row of their images'
+# integer coefficients.  The key is the grade of an element's first word;
+# any word may take a column there, the key only keeps the rows short.
+_PROJECTION_ROWS: dict[tuple[str, int, int], tuple[dict, dict[Monomial, list[int]]]] = {}
+
+
 def project(elem: FreeElement, target: str) -> PBWElement:
-    """Push a free-word combination into the target algebra.  The cached
-    integer word images are summed over the common denominator of the
-    element's coefficients, in ints, with one Fraction per output monomial."""
-    terms = [(c, _word_image(word, target)) for word, c in elem.coeffs.items()]
-    common = math.lcm(*(c.denominator for c, _ in terms))
-    out: dict[Monomial, int] = {}
-    for c, image in terms:
-        f = c.numerator * (common // c.denominator)
-        for key, v in image.items():
-            out[key] = out.get(key, 0) + f * v
-    return PBWElement(target, {key: Fraction(v, common) for key, v in out.items() if v})
+    """Push a free-word combination into the target algebra: the element's
+    integer form dotted with the cached integer rows of its grade, with one
+    Fraction per output monomial."""
+    den, nums = elem.integer_form()
+    first = next(iter(nums), ())
+    cols, rows = _PROJECTION_ROWS.setdefault((target, first.count(1), first.count(2)), ({}, {}))
+    for word in nums:
+        if word not in cols:
+            image = _word_image(word, target)
+            for key in image.keys() - rows.keys():
+                rows[key] = [0] * len(cols)
+            cols[word] = None
+            for key, row in rows.items():
+                row.append(image.get(key, 0))
+    x = [nums.get(word, 0) for word in cols]
+    sums = {key: sum(map(operator.mul, x, row)) for key, row in rows.items()}
+    return PBWElement(target, {key: Fraction(v, den) for key, v in sums.items() if v})
 
 
 # --- quadratic factors and their identity suites ----------------------------

@@ -12,9 +12,9 @@ lambda(h1) in the e1 block and lambda(h2) in the e2 block, while the
 quotient reduction does not depend on it.  So each grade's matrix is built
 once per process, as two weight-independent integer parts per block, and a
 weight costs one integer row assembly plus a kernel on the grade's cached
-independent rows, checked against the others: a forward elimination and an
-integer back-solve (see `freealg.kernel_basis`), whose vectors already have
-coefficient 1 at their lexicographically largest word.
+independent rows (see `freealg.kernel_basis`), checked in ints against the
+others.  The vector, with coefficient 1 at its lexicographically largest
+word, keeps that integer form for `pbw.project` to read.
 """
 
 from __future__ import annotations
@@ -183,18 +183,8 @@ def _e_action_rows(g1: int, g2: int, weight: WeightParam, cartan: CartanData) ->
 _INDEPENDENT_ROWS_CACHE: dict[tuple[int, int, int, int], tuple[list[int], list[int]]] = {}
 
 
-def _kills(rows: list[dict[int, int]], vec: list[Fraction]) -> bool:
-    """True when every sparse integer row is orthogonal to the vector,
-    checked in ints on the vector times the lcm of its denominators."""
-    den = 1
-    for c in vec:
-        den = math.lcm(den, c.denominator)
-    x = [c.numerator * (den // c.denominator) for c in vec]
-    return all(sum(v * x[j] for j, v in row.items()) == 0 for row in rows)
-
-
-def _kernel(g1: int, g2: int, weight: WeightParam, cartan: CartanData, ncols: int) -> list[list[Fraction]]:
-    """`kernel_basis` of the e-action matrix of grade (g1, g2) at the weight.
+def _kernel(g1: int, g2: int, weight: WeightParam, cartan: CartanData, words: list) -> list[FreeElement]:
+    """`kernel_basis` of grade (g1, g2)'s e-action matrix at the weight, as elements on the words.
 
     The first weight at which the rows independent mod 2^61 - 1 number
     ncols - 1 fixes them for the grade.  A weight is then solved on those
@@ -202,22 +192,30 @@ def _kernel(g1: int, g2: int, weight: WeightParam, cartan: CartanData, ncols: in
     other row kills: the chosen rows have rank ncols - 1 and the full
     matrix kills their kernel vector, so both have the same row space and
     the same reduced echelon form.  Anything else, a larger kernel or a row
-    that fails, is solved on all rows.
+    that fails, is solved on all rows.  The check runs in ints, on the
+    vector times the lcm of its denominators, and the kept vector carries
+    that integer form.
     """
+    ncols = len(words)
     rows = _e_action_rows(g1, g2, weight, cartan)
     key = (cartan.p, cartan.q, g1, g2)
     split = _INDEPENDENT_ROWS_CACHE.get(key)
     if split is None:
         found = independent_rows(rows)
         if len(found) != ncols - 1:
-            return kernel_basis(rows, ncols)
+            return [FreeElement(dict(zip(words, vec))) for vec in kernel_basis(rows, ncols)]
         taken = set(found)
         split = _INDEPENDENT_ROWS_CACHE[key] = (found, [k for k in range(len(rows)) if k not in taken])
     chosen, rest = split
     kern = kernel_basis([rows[k] for k in chosen], ncols)
-    if len(kern) == 1 and _kills([rows[k] for k in rest], kern[0]):
-        return kern
-    return kernel_basis(rows, ncols)
+    if len(kern) == 1:
+        den = math.lcm(*(c.denominator for c in kern[0]))
+        x = [c.numerator * (den // c.denominator) for c in kern[0]]
+        if all(sum(v * x[j] for j, v in rows[k].items()) == 0 for k in rest):
+            vec = FreeElement(dict(zip(words, kern[0])))
+            vec._ints = (den, {w: v for w, v in zip(words, x) if v})
+            return [vec]
+    return [FreeElement(dict(zip(words, vec))) for vec in kernel_basis(rows, ncols)]
 
 
 def singular_vectors(
@@ -231,10 +229,7 @@ def singular_vectors(
         raise ValueError(f"grade ({g1}, {g2}) is not a valid search grade")
     source = graded_quotient(g1, g2, cartan)
     # each kernel vector has a 1 at its highest nonzero column: the largest word
-    vectors = [
-        FreeElement({w: c for w, c in zip(source.basis_words, vec) if c})
-        for vec in _kernel(g1, g2, weight, cartan, source.dim)
-    ]
+    vectors = _kernel(g1, g2, weight, cartan, source.basis_words)
     return SingularVectorResult(
         root=root,
         m=m,

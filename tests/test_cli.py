@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rank2verma import pbw
+from rank2verma import freealg, pbw
 from rank2verma.cli import main
 
 
@@ -246,10 +246,12 @@ def test_verify_report_bytes_frozen(capsys):
 
 
 def test_verify_report_bytes_independent_of_warm_caches(capsys):
-    # a different verify first leaves the quotient and projection caches
-    # warm with other grades and words; the acceptance grid must still give
-    # the bytes pinned above
+    # a different verify first leaves the quotient, projection and word
+    # string caches warm with other grades and words; the acceptance grid
+    # must still give the bytes pinned above
     pbw._PROJECTION_CACHE.clear()
+    pbw._PROJECTION_ROWS.clear()
+    freealg._WORD_STR_CACHE.clear()
     code, _, _ = run(capsys, ["verify", "--p", "2", "--q", "3", "--cases", "4,2", "--n", "1",
                               "--m", "1,2", "--seed", "3"])
     assert code == 0

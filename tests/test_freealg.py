@@ -41,6 +41,9 @@ def test_word_str():
     assert word_str((1, 1, 2)) == "f1^2 f2"
     assert word_str((2, 1, 2, 2)) == "f2 f1 f2^2"
     assert word_str(()) == "1"
+    # the text is cached per word; a list renders like its tuple
+    assert word_str([2, 1, 2, 2]) == "f2 f1 f2^2"
+    assert word_str([]) == "1"
 
 
 def test_free_element_algebra():

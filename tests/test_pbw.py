@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -186,6 +187,13 @@ def test_deep_word_images_match_generator_products():
             assert project_word(w, tg) == expected, (tg, len(w))
 
 
+def _scaled_images(elem, tg):
+    expected = PBWElement(tg)
+    for w, c in elem.coeffs.items():
+        expected = expected + project_word(w, tg) * c
+    return expected
+
+
 def test_project_is_sum_of_scaled_word_images():
     # elements mix word lengths, short and deep, with rational coefficients,
     # so projections in both targets carry denominators > 1
@@ -195,13 +203,40 @@ def test_project_is_sum_of_scaled_word_images():
         for _ in range(20):
             words = rng.sample(SHORT_WORDS, 5) + [rng.choice(DEEP_WORDS)]
             elem = FreeElement({w: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for w in words})
-            expected = PBWElement(tg)
-            for w, c in elem.coeffs.items():
-                expected = expected + project_word(w, tg) * c
             out = project(elem, tg)
-            assert out == expected
+            assert out == _scaled_images(elem, tg)
             fractional[tg] += any(c.denominator > 1 for c in out.coeffs.values())
     assert fractional["H"] and fractional["L"]
+
+
+def _clear_projection_caches():
+    pbw._PROJECTION_CACHE.clear()
+    pbw._PROJECTION_ROWS.clear()
+
+
+@pytest.mark.parametrize("tg", ["H", "L"])
+def test_project_rows_match_word_images_in_any_first_seen_order(tg):
+    # elements of one grade and of mixed lengths, projected from cold caches
+    # with their words first seen in shuffled orders, then again once every
+    # column exists, equal the sum of their scaled word images
+    rng = random.Random(17)
+    grade = [w for w in itertools.product((1, 2), repeat=7) if w.count(1) == 4]
+    elems = [FreeElement({w: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for w in rng.sample(grade, 9)})
+             for _ in range(12)]
+    elems += [FreeElement({w: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for w in rng.sample(SHORT_WORDS, 6)})
+              for _ in range(12)]
+    expected = [_scaled_images(e, tg) for e in elems]
+    try:
+        for order in range(3):
+            _clear_projection_caches()
+            shuffled = list(range(len(elems)))
+            random.Random(order).shuffle(shuffled)
+            for k in shuffled:
+                assert project(elems[k], tg) == expected[k], (order, k)
+            for k in range(len(elems)):
+                assert project(elems[k], tg) == expected[k], (order, k)
+    finally:
+        _clear_projection_caches()
 
 
 def test_project_returns_fresh_element():
@@ -210,6 +245,26 @@ def test_project_returns_fresh_element():
     out = project(FreeElement({word: Fraction(1)}), "L")
     out.coeffs.clear()
     assert project_word(word, "L").coeffs == cached
+    assert project(FreeElement({word: Fraction(1)}), "L").coeffs == cached
+
+
+@pytest.mark.parametrize("tg", ["H", "L"])
+def test_project_reads_integer_form(tg):
+    # the integer form set on an element and the one made from its Fractions
+    # project alike, whatever the common denominator chosen
+    rng = random.Random(23)
+    for _ in range(10):
+        words = rng.sample(SHORT_WORDS, 6)
+        coeffs = {w: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for w in words}
+        plain = FreeElement(coeffs)
+        den = 3 * math.lcm(*(c.denominator for c in coeffs.values()))
+        formed = FreeElement(coeffs)
+        formed._ints = (den, {w: int(c * den) for w, c in coeffs.items()})
+        assert formed.integer_form() == formed._ints
+        assert plain.integer_form()[0] == den // 3
+        assert formed == plain and hash(formed) == hash(plain) and repr(formed) == repr(plain)
+        assert project(formed, tg) == project(plain, tg) == _scaled_images(plain, tg)
+    assert project(FreeElement(), tg) == PBWElement(tg)
 
 
 def test_project_word_deep_word_without_recursion():

@@ -1,0 +1,51 @@
+"""The benchmark tracer still sees the layers it attributes time to.
+
+bench/spans.py wraps functions by the names one module imports from
+another; a refactor that moves a call inside a module silently drops its
+span.  One tsweep job runs under the tracer in a fresh interpreter, with
+bench/ on the path as bench/worker.py has it and no bytecode written there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+JOB = """
+import json, sys
+from fractions import Fraction
+from spans import Tracer, install
+tracer = Tracer()
+install(tracer)
+from rank2verma import products
+from rank2verma.cartan import CartanData
+from workloads import TSWEEP_FAMILIES
+records = []
+for p, q, case, n, m in TSWEEP_FAMILIES:
+    records += products.end_to_end(case, n, m, CartanData(p, q), t_samples=(Fraction(2, 9),))
+summary = tracer.summary()
+print(json.dumps({
+    "self_s": sorted(summary["self_s"]),
+    "counts": summary["counts"],
+    "statuses": [r.status for r in records],
+    "supports": sum(len(r.vector.coeffs) for r in records if r.vector is not None),
+}))
+"""
+
+
+def test_tsweep_job_records_layer_spans():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")]))
+    env.pop("VERMA_GRADE_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", JOB], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert {"freealg.kernel_basis", "verma.singular_vectors", "pbw.project"} <= set(out["self_s"])
+    assert out["statuses"] and set(out["statuses"]) == {"ok"}
+    # every projected vector is counted once per target, word by word
+    assert out["counts"]["project_words"] == out["supports"] > 0
+    assert out["counts"]["singular_vectors_calls"] == len(out["statuses"]) // 2

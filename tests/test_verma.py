@@ -279,6 +279,8 @@ def _clear_caches():
     verma._E_ACTION_CACHE.clear()
     verma._INDEPENDENT_ROWS_CACHE.clear()
     pbw._PROJECTION_CACHE.clear()
+    pbw._PROJECTION_ROWS.clear()
+    freealg._WORD_STR_CACHE.clear()
     products._PRODUCT_CACHE.clear()
     products._FAMILY_CACHE.clear()
 
@@ -377,11 +379,41 @@ def test_critical_level_kernel_dims(case, monkeypatch):
         _clear_caches()
 
 
+@pytest.mark.parametrize("p,q,delta,top", [(2, 2, (1, 1), 5), (1, 4, (1, 2), 4), (4, 1, (2, 1), 4)])
+def test_critical_line_kernel_dims_are_partition_numbers(p, q, delta, top):
+    # on the critical line of the imaginary root delta, q*a*x' + p*b*y' = 0
+    # in shifted coordinates, the kernel at grade m*delta of a generic point
+    # has dimension p(m), and off the line it is 0.  No weight gives these
+    # grades a one-dimensional kernel once m > 1, so their rows are never
+    # fixed: every kernel is solved on all rows and carries no integer form
+    cd = CartanData(p, q)
+    root = RootVector(*delta)
+    x = Fraction(2, 7)
+    on_line = WeightParam(x, -q * delta[0] * x / (p * delta[1]), True)
+    off_line = WeightParam(x, Fraction(5, 11), True)
+    try:
+        _clear_caches()
+        for m, dim in zip(range(1, top + 1), (1, 2, 3, 5, 7)):
+            g1, g2 = m * delta[0], m * delta[1]
+            res = singular_vectors(on_line, root, m, cd)
+            assert res.on_line and res.kernel_dim == dim, m
+            assert list(res.vectors) == _kernel_on_all_rows(on_line, g1, g2, cd)
+            assert all(annihilates(vec, on_line, cd) for vec in res.vectors)
+            assert ((p, q, g1, g2) in verma._INDEPENDENT_ROWS_CACHE) == (dim == 1)
+            assert all((vec._ints is None) == (dim > 1) for vec in res.vectors)
+            for vec in res.vectors:
+                den, nums = vec.integer_form()
+                assert {w: Fraction(v, den) for w, v in nums.items()} == vec.coeffs
+            assert singular_vectors(off_line, root, m, cd).kernel_dim == 0
+    finally:
+        _clear_caches()
+
+
 def test_results_independent_of_warm_caches():
     # (2,2) case 2, n = 1, m = 3 at t = 2/9, from cleared caches, then again
     # after other t values and other grades (whose quotients, e-action
-    # blocks, word images and factor products overlap) have warmed every
-    # cache
+    # blocks, word images, projection rows, word strings and factor
+    # products overlap) have warmed every cache; the reprs match too
     cd = CartanData(2, 2)
     root = family_root(2, 1, cd)
     weight = case_weight(2, 1, cd).at(3, Fraction(2, 9))
@@ -403,12 +435,15 @@ def test_results_independent_of_warm_caches():
         for case, n, m in ((2, 1, 2), (4, 1, 3), (1, 1, 2), (2, 1, 3)):
             for t in (Fraction(-5, 3), random_rational(random.Random(m))):
                 res = singular_vectors(case_weight(case, n, cd).at(m, t), family_root(case, n, cd), m, cd)
+                repr(res)
                 for tg in ("H", "L"):
                     for v in res.vectors:
                         project(v, tg)
                     form = xi_of_mt(case, n, cd)
                     expand_product(build_product(case, n, m, cd), form.at(m, t) if form else Fraction(0), tg)
-        assert products._PRODUCT_CACHE
-        assert result() == cold
+        assert products._PRODUCT_CACHE and pbw._PROJECTION_ROWS and freealg._WORD_STR_CACHE
+        warm = result()
+        assert warm == cold
+        assert repr(warm) == repr(cold)
     finally:
         _clear_caches()
