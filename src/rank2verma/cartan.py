@@ -9,12 +9,15 @@ integer multiples of s, kept exact through the parity-split sequences
     c_n = a_{2n+1},   d_n = sigma * a_{2n},   e_n = sigma^{-1} * a_{2n},
 
 where sigma^2 = q/p.  All three satisfy X_{n+1} = (pq-2) X_n - X_{n-1}.
+
+The records here are immutable namedtuples: hashed and compared as their
+field tuples, so also iterable, orderable and equal to a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -22,32 +25,29 @@ class FiniteTypeError(ValueError):
     """Raised for pq <= 3, where the algebra is finite-dimensional."""
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(namedtuple("CartanData", "p q")):
     """The pair (p, q) with p, q >= 1 and pq >= 4."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+    def __new__(cls, p: int, q: int) -> "CartanData":
+        if not (isinstance(p, int) and isinstance(q, int)):
             raise TypeError("p and q must be integers")
-        if self.p < 1 or self.q < 1:
+        if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
-        if self.p * self.q < 4:
-            raise FiniteTypeError(f"pq = {self.p * self.q} < 4 is finite-dimensional")
+        if p * q < 4:
+            raise FiniteTypeError(f"pq = {p * q} < 4 is finite-dimensional")
+        return super().__new__(cls, p, q)
 
     @property
     def pq(self) -> int:
         return self.p * self.q
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(namedtuple("RootVector", "k1 k2")):
     """Integer lattice point k1*alpha1 + k2*alpha2."""
 
-    k1: int
-    k2: int
+    __slots__ = ()
 
     def curve_value(self, cartan: CartanData) -> int:
         """q*k1^2 - pq*k1*k2 + p*k2^2, the reflection-invariant quadratic."""
@@ -61,18 +61,18 @@ class RootVector:
         return (self.k1, self.k2)
 
 
-@dataclass(frozen=True)
-class ReflectionWord:
-    """Alternating word S_i(count): begins and ends with s_i, 2*count-1 letters."""
+class ReflectionWord(namedtuple("ReflectionWord", "start count")):
+    """Alternating word S_i(count): begins and ends with s_i, 2*count-1
+    letters, which `len` counts."""
 
-    start: int
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start not in (1, 2):
+    def __new__(cls, start: int, count: int) -> "ReflectionWord":
+        if start not in (1, 2):
             raise ValueError("start must be 1 or 2")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("count must be positive")
+        return super().__new__(cls, start, count)
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -82,6 +82,9 @@ class ReflectionWord:
 
     def __len__(self) -> int:
         return 2 * self.count - 1
+
+    # namedtuple's own _make, which _replace calls, checks the field count by len
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __str__(self) -> str:
         # displayed left to right, composition order
@@ -238,12 +241,10 @@ def family_root(case: int, n: int, cartan: CartanData) -> RootVector:
     raise ValueError("case must be 1, 2, 3, or 4")
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    point: RootVector
-    case: int
-    n: int
-    word: ReflectionWord
+class OrbitPoint(namedtuple("OrbitPoint", "point case n word")):
+    """An orbit point with its family (case, n) and ReflectionWord."""
+
+    __slots__ = ()
 
 
 def orbit(start: RootVector, depth: int, cartan: CartanData) -> list[OrbitPoint]:

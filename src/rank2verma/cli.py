@@ -12,7 +12,6 @@ strings like "3/2".  Exit codes: 0 success, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import random
@@ -57,15 +56,21 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
+def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected 'a,b', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+        raise ValueError(f"{flag} expected 'a,b', got {text!r}")
+    try:
+        return (int(parts[0]), int(parts[1]))
+    except ValueError:
+        raise ValueError(f"{flag} expects two integers 'a,b', got {text!r}") from None
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    values = [int(s) for s in text.split(",") if s.strip() != ""]
+    try:
+        values = [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} needs at least one value, got {text!r}")
     return values
@@ -83,7 +88,7 @@ def _weight_from_args(args) -> WeightParam:
 
 def cmd_orbit(args) -> tuple[dict, list[dict], int]:
     cartan = CartanData(args.p, args.q)
-    start = RootVector(*_parse_pair(args.start))
+    start = RootVector(*_parse_pair(args.start, "--start"))
     expected = cartan.q if start.as_pair() == (1, 0) else cartan.p
     rows = []
     ok = True
@@ -192,7 +197,7 @@ def cmd_exponents(args) -> tuple[dict, list[dict], int]:
 
 def cmd_kk(args) -> tuple[dict, list[dict], int]:
     cartan = CartanData(args.p, args.q)
-    root = RootVector(*_parse_pair(args.root))
+    root = RootVector(*_parse_pair(args.root, "--root"))
     weight = _weight_from_args(args)
     on_line = kac_kazhdan(weight, root, args.m, cartan)
     rows = [{"on_line": on_line}]
@@ -210,7 +215,7 @@ def cmd_kk(args) -> tuple[dict, list[dict], int]:
 
 def cmd_singular(args) -> tuple[dict, list[dict], int]:
     cartan = CartanData(args.p, args.q)
-    root = RootVector(*_parse_pair(args.root))
+    root = RootVector(*_parse_pair(args.root, "--root"))
     weight = _weight_from_args(args)
     res = singular_vectors(weight, root, args.m, cartan)
     rows = []
@@ -399,6 +404,8 @@ def _emit(command: str, payload: dict, rows: list[dict], fmt: str) -> None:
         doc.update(payload)
         print(json.dumps(doc, indent=2))
         return
+    import csv  # here, so that JSON runs never load it
+
     buf = io.StringIO()
     if rows:
         # structured witness cells become compact JSON strings in CSV

@@ -6,12 +6,15 @@ parameter v (named "t", or "xi" after the change of variable).  There are
 two independent routes to every exponent word: the position-indexed
 formulas built from the Gamma tables, and the shifted-reflection
 trajectory; tests compare them exactly.
+
+The records here are immutable namedtuples: hashed and compared as their
+field tuples, so also iterable, orderable and equal to a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import CartanData, ReflectionWord, RootVector, family_root, word_for_family
@@ -210,17 +213,14 @@ class GammaTable:
         return self.entry(k)[1]
 
 
-@dataclass(frozen=True)
-class WeightParam:
+class WeightParam(namedtuple("WeightParam", "x y shifted", defaults=(False,))):
     """Highest-weight coordinates (x, y) = (lambda(h1), lambda(h2)).
 
     `shifted` records whether the x+1 -> x, y+1 -> y change of variable has
     been applied.  Coordinates may be exact rationals or affine forms.
     """
 
-    x: Rat | AffineForm
-    y: Rat | AffineForm
-    shifted: bool = False
+    __slots__ = ()
 
     def to_shifted(self) -> "WeightParam":
         if self.shifted:
@@ -253,17 +253,17 @@ def kac_kazhdan(weight: WeightParam, root: RootVector, m: int, cartan: CartanDat
     return lhs - rhs == 0
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    generator: int
-    theta: Rat | AffineForm
-    weight_after: WeightParam  # shifted
+class TrajectoryStep(namedtuple("TrajectoryStep", "generator theta weight_after")):
+    """One reflection s_generator, its collinearity coefficient and the
+    shifted WeightParam after it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LambdaTrajectory:
-    start: WeightParam  # shifted
-    steps: tuple[TrajectoryStep, ...]
+class LambdaTrajectory(namedtuple("LambdaTrajectory", "start steps")):
+    """The shifted start WeightParam and a tuple of TrajectorySteps."""
+
+    __slots__ = ()
 
     def thetas(self) -> tuple:
         """Collinearity coefficients theta_1..theta_N, in application order."""
@@ -300,24 +300,24 @@ def _case_letters(case: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(rtl))
 
 
-@dataclass(frozen=True)
-class ExponentWord:
+class ExponentWord(
+    namedtuple("ExponentWord", "case n variable letters exponents degenerate_rewrite", defaults=(False,))
+):
     """Word of generators with exact affine-form exponents, left to right.
 
+    `exponents` holds one AffineForm per letter, and `len` counts letters.
     `variable` is "t" for the orbit-family displays, "xi" after the change
     of variable.  `degenerate_rewrite` marks length-1 words where the
     change of variable has no referent.
     """
 
-    case: int
-    n: int
-    variable: str
-    letters: tuple[int, ...]
-    exponents: tuple[AffineForm, ...]
-    degenerate_rewrite: bool = False
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    # namedtuple's own _make, which _replace calls, checks the field count by len
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def center_index(self) -> int:
@@ -414,16 +414,11 @@ def case_weight(case: int, n: int, cartan: CartanData) -> WeightParam:
     raise ValueError("case must be 1, 2, 3, or 4")
 
 
-@dataclass(frozen=True)
-class FamilyData:
-    """Everything attached to one orbit family instance."""
+class FamilyData(namedtuple("FamilyData", "case n root word exponents weight")):
+    """Everything attached to one orbit family instance; `exponents` and
+    the shifted `weight` are symbolic in (m, t)."""
 
-    case: int
-    n: int
-    root: RootVector
-    word: ReflectionWord
-    exponents: ExponentWord  # symbolic in (m, t)
-    weight: WeightParam  # shifted, symbolic in (m, t)
+    __slots__ = ()
 
 
 def ffm_exponents(case: int, n: int, cartan: CartanData) -> FamilyData:

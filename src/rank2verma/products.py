@@ -10,16 +10,19 @@ target with xi left free, as integer polynomials in xi on each monomial, and
 evaluated at each sample's xi.  end_to_end() checks the factorization
 against the brute-force singular vector, exactly, at generic rational t
 samples.
+
+The records here are immutable namedtuples: hashed and compared as their
+field tuples, so also iterable, orderable and equal to a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import CartanData, RootVector, family_root
-from .freealg import FreeElement, grade_cap
+from .freealg import grade_cap
 from .gamma import (
     GENERIC_T_SAMPLES,
     AffineForm,
@@ -47,14 +50,11 @@ def alt_sum(table: GammaTable, which: int, start: int, stop: int, first_sign: in
     return total
 
 
-@dataclass(frozen=True)
-class FactorBlock:
-    """One run of factors X_{u(1)} ... X_{u(count)}; subscripts affine in xi."""
+class FactorBlock(namedtuple("FactorBlock", "family w count subscripts")):
+    """One run of factors X_{u(1)} ... X_{u(count)}, `family` "plain" or
+    "tilde"; subscripts are AffineForms in xi."""
 
-    family: str  # "plain" or "tilde"
-    w: int
-    count: int
-    subscripts: tuple[AffineForm, ...]
+    __slots__ = ()
 
 
 def _block(family: str, w: int, r: int, s: int, m: int, table: GammaTable) -> FactorBlock:
@@ -95,14 +95,11 @@ def _block(family: str, w: int, r: int, s: int, m: int, table: GammaTable) -> Fa
     return FactorBlock(family, w, count, subs)
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    case: int
-    n: int
-    m: int
-    blocks: tuple[FactorBlock, ...]
-    tail_letter: int
-    tail_power: int
+class ProductSpec(namedtuple("ProductSpec", "case n m blocks tail_letter tail_power")):
+    """Factor product of family (case, n) at multiplicity m: FactorBlocks,
+    then f_{tail_letter}^tail_power."""
+
+    __slots__ = ()
 
     def factor_count(self) -> int:
         return sum(b.count for b in self.blocks)
@@ -248,28 +245,22 @@ def proportionality(left: PBWElement, right: PBWElement) -> Fraction | None:
     return s
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    case: int
-    n: int
-    m: int
-    p: int
-    q: int
-    target: str
-    t: Fraction | None
-    xi: Fraction | None
-    grade: tuple[int, int]
-    quotient_dim: int | None
-    kernel_dim: int | None
-    status: str  # "ok", "failed", "nongeneric", "skipped"
-    scalar: Fraction | None
-    reason: str | None = None
-    # witnesses: the sampled weight, the oracle vector and both sides of the
-    # proportionality check; None where they do not apply
-    weight: WeightParam | None = None
-    vector: FreeElement | None = None
-    projection: PBWElement | None = None
-    product: PBWElement | None = None
+class VerificationRecord(
+    namedtuple(
+        "VerificationRecord",
+        "case n m p q target t xi grade quotient_dim kernel_dim status scalar"
+        " reason weight vector projection product",
+        defaults=(None,) * 5,
+    )
+):
+    """One (t, target) check of end_to_end, with `status` "ok", "failed",
+    "nongeneric" or "skipped"; t, xi and scalar are Fractions.  Witnesses:
+    the sampled WeightParam, the oracle FreeElement `vector` and the two
+    PBWElement sides of the proportionality check.  Fields that do not
+    apply are None.
+    """
+
+    __slots__ = ()
 
 
 # (case, n, m, cartan) -> (symbolic weight, xi as a form in (m, t) or None,

@@ -15,12 +15,15 @@ weight costs one integer row assembly plus a kernel on the grade's cached
 independent rows (see `freealg.kernel_basis`), checked in ints against the
 others.  The vector, with coefficient 1 at its lexicographically largest
 word, keeps that integer form for `pbw.project` to read.
+
+SingularVectorResult is an immutable namedtuple: hashed and compared as its
+field tuple, so also iterable, orderable and equal to a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import CartanData, RootVector
@@ -94,16 +97,13 @@ def ideal_e_stable(g1: int, g2: int, weight: WeightParam, cartan: CartanData) ->
     return True
 
 
-@dataclass(frozen=True)
-class SingularVectorResult:
-    root: RootVector
-    m: int
-    weight: WeightParam  # unshifted rational coordinates
-    grade: tuple[int, int]
-    quotient_dim: int
-    kernel_dim: int
-    vectors: tuple[FreeElement, ...]
-    on_line: bool
+class SingularVectorResult(
+    namedtuple("SingularVectorResult", "root m weight grade quotient_dim kernel_dim vectors on_line")
+):
+    """Kernel at grade m*root for an unshifted rational WeightParam;
+    `vectors` is a tuple of FreeElement, `on_line` the Kac-Kazhdan test."""
+
+    __slots__ = ()
 
     @property
     def vector(self) -> FreeElement | None:

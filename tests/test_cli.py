@@ -220,13 +220,17 @@ def test_invalid_rational_rejected(capsys):
 
 
 def test_bad_root_pair_rejected(capsys):
-    code, out, err = run(
-        capsys,
-        ["kk", "--p", "2", "--q", "2", "--root", "1-2", "--m", "1",
-         "--x", "0", "--y", "0"],
-    )
-    assert code == 2
-    assert "expected 'a,b'" in err
+    for root, message in (
+        ("1-2", "expected 'a,b'"),
+        ("a,b", "--root expects two integers 'a,b', got 'a,b'"),
+    ):
+        code, out, err = run(
+            capsys,
+            ["kk", "--p", "2", "--q", "2", "--root", root, "--m", "1",
+             "--x", "0", "--y", "0"],
+        )
+        assert code == 2
+        assert message in err
 
 
 def test_verify_report_bytes_frozen(capsys):
@@ -281,6 +285,17 @@ def test_verify_report_bytes_across_processes(hashseed):
     )
 
 
+def test_cli_import_skips_heavy_modules():
+    # every cold job pays for what `import rank2verma.cli` loads: the records
+    # need no dataclasses (which loads inspect), and only CSV output needs
+    # csv; -S keeps site .pth files from preloading modules
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import rank2verma.cli, sys; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
 def test_verify_w3_report_bytes_frozen(capsys):
     # the (2,3) grid up to grade (8,5): digest taken before word images
     # were cached
@@ -325,11 +340,18 @@ def test_exponents_mismatched_value_flag_rejected(capsys, extra, message):
     assert message in err
 
 
-@pytest.mark.parametrize("flag", ["--cases", "--n", "--m"])
-def test_verify_empty_list_rejected(capsys, flag):
-    code, out, err = run(capsys, ["verify", "--p", "2", "--q", "2", flag, ","])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--cases", ",", "--cases needs at least one value"),
+     ("--n", ",", "--n needs at least one value"),
+     ("--m", ",", "--m needs at least one value"),
+     ("--cases", "1,x", "--cases expects comma-separated integers, got '1,x'")],
+    ids=["--cases", "--n", "--m", "--cases-not-int"],
+)
+def test_verify_empty_list_rejected(capsys, flag, value, message):
+    code, out, err = run(capsys, ["verify", "--p", "2", "--q", "2", flag, value])
     assert (code, out) == (2, "")
-    assert f"{flag} needs at least one value" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
