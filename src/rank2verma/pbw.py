@@ -3,16 +3,19 @@
 Both targets are generated by f1, f2 with [f1, f2] = h.  In target "H" the
 bracket h is central (Heisenberg); in target "L" it acts by [h, f1] = f1
 and [h, f2] = -f2.  Writing e = 0 in "H" and e = 1 in "L", both obey
-h f1 = f1 (h+e) and h f2 = f2 (h-e).  Elements are stored on the ordered
-monomial basis f2^a f1^b h^c with rational coefficients; two monomials
-multiply by one closed form, the same for both targets up to e, with no
-recursion and no cache.  A slow rewriting engine reduces the same products
-one adjacent swap at a time and doubles as an independent check.
+h f1 = f1 (h+e) and h f2 = f2 (h-e).  Elements live on the ordered monomial
+basis f2^a f1^b h^c and hold their value as an integer form: one positive
+denominator and an integer numerator per monomial.  Their `coeffs`, a dict
+of Fractions, is built only when first read.  Two monomials multiply by one
+closed form, the same for both targets up to e, with no recursion.  The
+structure constants are integers, so every such product is integral, and a
+per-process memo keeps each one as integers; element products, sums and
+equality run on integers only.  A slow rewriting engine reduces the same
+products one adjacent swap at a time and doubles as an independent check.
 
 Free words project into a target through a per-process cache of word
 images keyed by (target, word): each image is built once, from its longest
-cached prefix, and kept as integer coefficients (the structure constants are
-integers, so no word image has a denominator).  `project` dots a vector's
+cached prefix, and kept as integer coefficients.  `project` dots a vector's
 integer form with cached integer rows, one per output monomial and grade,
 holding a column per word, added the first time the word is projected.
 
@@ -70,39 +73,105 @@ def _mono_mul(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, Fractio
     return out
 
 
-class PBWElement:
-    """Rational combination of ordered monomials f2^a f1^b h^c in one target."""
+# (k1, k2, target) -> _mono_mul(k1, k2, target) as {monomial: int}.  The
+# ordered monomials span a ring over the integers (the bracket relations
+# have integer structure constants), so every coefficient of _mono_mul is an
+# integer.  The products are shared, so nothing may mutate them.
+_MONO_INT: dict[tuple[Monomial, Monomial, str], dict[Monomial, int]] = {}
 
-    __slots__ = ("target", "coeffs")
+
+def _mono_int(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, int]:
+    """_mono_mul with integer coefficients, from the memo."""
+    key = (k1, k2, target)
+    prod = _MONO_INT.get(key)
+    if prod is None:
+        prod = _MONO_INT[key] = {k: c.numerator for k, c in _mono_mul(k1, k2, target).items()}
+    return prod
+
+
+# monomial -> its text in PBWElement.__repr__, rendered once per process
+_MONO_STR: dict[Monomial, str] = {}
+
+
+def _mono_str(key: Monomial) -> str:
+    text = _MONO_STR.get(key)
+    if text is None:
+        a, b, c = key
+        parts = []
+        if a:
+            parts.append(f"f2^{a}" if a > 1 else "f2")
+        if b:
+            parts.append(f"f1^{b}" if b > 1 else "f1")
+        if c:
+            parts.append(f"h^{c}" if c > 1 else "h")
+        text = _MONO_STR[key] = " ".join(parts) or "1"
+    return text
+
+
+class PBWElement:
+    """Rational combination of ordered monomials f2^a f1^b h^c in one target.
+
+    The value is held as an integer form (den, {monomial: numerator}) with
+    den > 0 and no zero numerator; `coeffs` is its Fraction dict, built the
+    first time it is read.  Arithmetic and equality read only the integer
+    form, which need not be reduced.
+    """
+
+    __slots__ = ("target", "_ints", "_coeffs")
 
     def __init__(self, target: str, coeffs: dict[Monomial, Fraction] | None = None):
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}")
         self.target = target
-        self.coeffs: dict[Monomial, Fraction] = {}
+        self._coeffs: dict[Monomial, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
-                    self.coeffs[k] = c
+                    self._coeffs[k] = c
+        den = math.lcm(*(c.denominator for c in self._coeffs.values()))
+        self._ints = (den, {k: c.numerator * (den // c.denominator) for k, c in self._coeffs.items()})
+
+    @classmethod
+    def _from_ints(cls, target: str, den: int, nums: dict[Monomial, int]) -> "PBWElement":
+        """The element sum(nums[k]/den * k), without building a Fraction; den
+        is positive and no numerator is zero.  `nums` is kept, not copied."""
+        elem = cls.__new__(cls)
+        elem.target = target
+        elem._ints = (den, nums)
+        elem._coeffs = None
+        return elem
 
     @classmethod
     def one(cls, target: str) -> "PBWElement":
-        return cls(target, {(0, 0, 0): Fraction(1)})
+        return cls.generator(1, target, 0)
 
     @classmethod
     def generator(cls, letter: int, target: str, power: int = 1) -> "PBWElement":
         if power < 0:
             raise ValueError("power must be nonnegative")
-        if letter == 1:
-            return cls(target, {(0, power, 0): Fraction(1)})
-        if letter == 2:
-            return cls(target, {(power, 0, 0): Fraction(1)})
-        raise ValueError("letter must be 1 or 2")
+        if letter not in (1, 2):
+            raise ValueError("letter must be 1 or 2")
+        if target not in TARGETS:
+            raise ValueError(f"target must be one of {TARGETS}")
+        return cls._from_ints(target, 1, {(0, power, 0) if letter == 1 else (power, 0, 0): 1})
+
+    def integer_form(self) -> tuple[int, dict[Monomial, int]]:
+        """(den, {monomial: numerator}), possibly unreduced; shared with the
+        element, so nothing may mutate it."""
+        return self._ints
+
+    @property
+    def coeffs(self) -> dict[Monomial, Fraction]:
+        """{monomial: Fraction}, built from the integer form once."""
+        if self._coeffs is None:
+            den, nums = self._ints
+            self._coeffs = {k: Fraction(v, den) for k, v in nums.items()}
+        return self._coeffs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints[1]
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.coeffs.items())
@@ -113,26 +182,37 @@ class PBWElement:
 
     def __add__(self, other: "PBWElement") -> "PBWElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return PBWElement(self.target, out)
+        (d1, n1), (d2, n2) = self._ints, other._ints
+        den = math.lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {k: v * s1 for k, v in n1.items()}
+        for k, v in n2.items():
+            out[k] = out.get(k, 0) + v * s2
+        return PBWElement._from_ints(self.target, den, {k: v for k, v in out.items() if v})
 
     def __sub__(self, other: "PBWElement") -> "PBWElement":
         return self + (-1) * other
 
     def __mul__(self, other):
+        den, nums = self._ints
         if isinstance(other, (int, Fraction)):
-            return PBWElement(self.target, {k: c * other for k, c in self.coeffs.items()})
+            if not other:
+                return PBWElement._from_ints(self.target, 1, {})
+            a = other.numerator
+            return PBWElement._from_ints(self.target, den * other.denominator, {k: v * a for k, v in nums.items()})
         if not isinstance(other, PBWElement):
             return NotImplemented
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                for k, c in _mono_mul(k1, k2, self.target).items():
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2 * c
-        return PBWElement(self.target, out)
+        target = self.target
+        d2, n2 = other._ints
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for k1, v1 in nums.items():
+            for k2, v2 in n2.items():
+                v12 = v1 * v2
+                for k, c in _mono_int(k1, k2, target).items():
+                    out[k] = get(k, 0) + v12 * c
+        return PBWElement._from_ints(target, den * d2, {k: v for k, v in out.items() if v})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -142,25 +222,19 @@ class PBWElement:
     def __eq__(self, other):
         if not isinstance(other, PBWElement):
             return NotImplemented
-        return self.target == other.target and self.coeffs == other.coeffs
+        if self.target != other.target:
+            return False
+        (d1, n1), (d2, n2) = self._ints, other._ints
+        # n1[k]/d1 == n2[k]/d2 at every k, cross-multiplied
+        return n1.keys() == n2.keys() and all(v * d2 == n2[k] * d1 for k, v in n1.items())
 
     def __hash__(self):
         return hash((self.target, frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if self.is_zero():
             return f"PBWElement({self.target}, 0)"
-        def mono(k):
-            a, b, c = k
-            parts = []
-            if a:
-                parts.append(f"f2^{a}" if a > 1 else "f2")
-            if b:
-                parts.append(f"f1^{b}" if b > 1 else "f1")
-            if c:
-                parts.append(f"h^{c}" if c > 1 else "h")
-            return " ".join(parts) or "1"
-        return " + ".join(f"({c})*{mono(k)}" for k, c in self.items())
+        return " + ".join(f"({c})*{_mono_str(k)}" for k, c in self.items())
 
 
 # --- independent route: step-by-step rewriting -----------------------------
@@ -254,22 +328,19 @@ def _word_image(word: tuple[int, ...], target: str) -> dict[Monomial, int]:
     image = _PROJECTION_CACHE[(target, word[:k])] if k else {(0, 0, 0): 1}
     for j in range(k, len(word)):
         gen = _GENERATOR[word[j]]
-        # one letter on the right leaves k <= 1 in _mono_mul, so its
-        # coefficients are multiples of 1/2: twice the new image sums in
-        # ints, and halving it is exact because the image is integral
-        twice: dict[Monomial, int] = {}
+        nxt: dict[Monomial, int] = {}
         for mono, v in image.items():
-            for key, c in _mono_mul(mono, gen, target).items():
-                twice[key] = twice.get(key, 0) + v * c.numerator * (2 // c.denominator)
-        image = {key: c >> 1 for key, c in twice.items() if c}
+            for key, c in _mono_int(mono, gen, target).items():
+                nxt[key] = nxt.get(key, 0) + v * c
+        image = {key: c for key, c in nxt.items() if c}
         _PROJECTION_CACHE[(target, word[: j + 1])] = image
     return image
 
 
 def project_word(word: tuple[int, ...], target: str) -> PBWElement:
-    """Image of a free word in the target, as a fresh element read from the
-    cached integer image."""
-    return PBWElement(target, _word_image(tuple(word), target))
+    """Image of a free word in the target, as an element over the cached
+    integer image."""
+    return PBWElement._from_ints(target, 1, _word_image(tuple(word), target))
 
 
 # (target, g1, g2) -> (cols, rows): the words projected at that grade, in
@@ -281,8 +352,8 @@ _PROJECTION_ROWS: dict[tuple[str, int, int], tuple[dict, dict[Monomial, list[int
 
 def project(elem: FreeElement, target: str) -> PBWElement:
     """Push a free-word combination into the target algebra: the element's
-    integer form dotted with the cached integer rows of its grade, with one
-    Fraction per output monomial."""
+    integer form dotted with the cached integer rows of its grade, kept over
+    the element's denominator."""
     den, nums = elem.integer_form()
     first = next(iter(nums), ())
     cols, rows = _PROJECTION_ROWS.setdefault((target, first.count(1), first.count(2)), ({}, {}))
@@ -296,19 +367,25 @@ def project(elem: FreeElement, target: str) -> PBWElement:
                 row.append(image.get(key, 0))
     x = [nums.get(word, 0) for word in cols]
     sums = {key: sum(map(operator.mul, x, row)) for key, row in rows.items()}
-    return PBWElement(target, {key: Fraction(v, den) for key, v in sums.items() if v})
+    return PBWElement._from_ints(target, den, {key: v for key, v in sums.items() if v})
 
 
 # --- quadratic factors and their identity suites ----------------------------
 
 
 def quadratic_factor(u: Fraction | int, target: str) -> PBWElement:
-    """X_u = f2 f1 + u*h, with the extra constant -u(u-1)/2 in target L."""
-    u = Fraction(u)
-    coeffs = {(1, 1, 0): Fraction(1), (0, 0, 1): u}
+    """X_u = f2 f1 + u*h, with the extra constant -u(u-1)/2 in target L.
+
+    For u = a/b that is b f2 f1 + a h over b in "H", and
+    2b^2 f2 f1 + 2ab h - a(a-b) over 2b^2 in "L"."""
+    a, b = u.numerator, u.denominator
     if target == "L":
-        coeffs[(0, 0, 0)] = -u * (u - 1) / 2
-    return PBWElement(target, coeffs)
+        den, nums = 2 * b * b, {(1, 1, 0): 2 * b * b, (0, 0, 1): 2 * a * b, (0, 0, 0): -a * (a - b)}
+    elif target == "H":
+        den, nums = b, {(1, 1, 0): b, (0, 0, 1): a}
+    else:
+        raise ValueError(f"target must be one of {TARGETS}")
+    return PBWElement._from_ints(target, den, {k: v for k, v in nums.items() if v})
 
 
 def f_power(letter: int, k: int, target: str) -> PBWElement:

@@ -31,7 +31,7 @@ from .gamma import (
     case_weight,
     xi_of_mt,
 )
-from .pbw import Monomial, PBWElement, _mono_mul, project, projection_defined
+from .pbw import Monomial, PBWElement, _mono_int, project, projection_defined
 from .verma import singular_vectors
 
 
@@ -192,11 +192,11 @@ def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[
         nxt: dict[Monomial, list[int]] = {}
         for k1, p1 in out.items():
             for k2, p2 in factor.items():
-                for k, c in _mono_mul(k1, k2, target).items():
+                for k, c in _mono_int(k1, k2, target).items():
                     poly = nxt.setdefault(k, [0] * width)
                     for d1, v1 in enumerate(p1):
                         if v1:
-                            fv = c.numerator * v1
+                            fv = c * v1
                             for d2, v2 in enumerate(p2):
                                 poly[d1 + d2] += fv * v2
         out = {}
@@ -215,34 +215,33 @@ def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[
 def expand_product(spec: ProductSpec, xi_value: Fraction, target: str) -> PBWElement:
     """The product of the factors at a concrete xi in the target algebra:
     its cached polynomial in xi evaluated at xi = X/D in ints, as
-    D^degree times each polynomial, with one Fraction per monomial."""
+    D^degree times each polynomial, over den * D^degree."""
     den, degree, polys = _product_polynomial(spec, target)
     xi = Fraction(xi_value)
     X, D = xi.numerator, xi.denominator
     weights = [X**i * D ** (degree - i) for i in range(degree + 1)]
-    scale = den * D**degree
     out = {}
     for k, coeffs in polys.items():
         v = sum(c * w for c, w in zip(coeffs, weights))
         if v:
-            out[k] = Fraction(v, scale)
-    return PBWElement(target, out)
+            out[k] = v
+    return PBWElement._from_ints(target, den * D**degree, out)
 
 
 def proportionality(left: PBWElement, right: PBWElement) -> Fraction | None:
     """Scalar s with left == s * right, or None.  Zero elements never count
     as proportional to nonzero ones; s must be nonzero."""
-    if right.is_zero() or left.target != right.target or left.coeffs.keys() != right.coeffs.keys():
+    (dl, nl), (dr, nr) = left.integer_form(), right.integer_form()
+    if not nr or left.target != right.target or nl.keys() != nr.keys():
         return None
-    key = next(iter(right.coeffs))
-    s = left.coeffs[key] / right.coeffs[key]
-    # left[k] == s * right[k] at every k, cross-multiplied
-    a, b = s.numerator, s.denominator
-    for k, c in left.coeffs.items():
-        r = right.coeffs[k]
-        if c.numerator * b * r.denominator != a * r.numerator * c.denominator:
+    # s = (nl[key]/dl) / (nr[key]/dr); left[k] == s * right[k] at every k
+    # is nl[k] * nr[key] == nl[key] * nr[k], as the denominators cancel
+    key = next(iter(nr))
+    a, b = nl[key], nr[key]
+    for k, v in nl.items():
+        if v * b != a * nr[k]:
             return None
-    return s
+    return Fraction(a * dr, b * dl)
 
 
 class VerificationRecord(

@@ -355,3 +355,159 @@ def test_sandwich_range_checks():
         sandwich_falling(5, 4, "H")
     with pytest.raises(ValueError):
         sandwich_rising(-1, 4, "L")
+
+
+def test_integer_monomial_products_match_closed_form_on_wide_grid():
+    # the grid of test_closed_form_wide_grid_frozen: every closed-form
+    # coefficient is an integer, and the integer memo holds the same products
+    wide = [(a, b, c) for a in range(7) for b in range(7) for c in range(4)]
+    pbw._MONO_INT.clear()
+    try:
+        for target in ("H", "L"):
+            for k1 in wide:
+                for k2 in wide:
+                    closed = pbw._mono_mul(k1, k2, target)
+                    assert all(c.denominator == 1 for c in closed.values()), (target, k1, k2)
+                    got = pbw._mono_int(k1, k2, target)
+                    assert got == closed and pbw._MONO_INT[(k1, k2, target)] is got, (target, k1, k2)
+                    assert all(type(c) is int for c in got.values())
+    finally:
+        pbw._MONO_INT.clear()
+
+
+def _random_element(rng, tg, size=4, top=2):
+    keys = [(a, b, c) for a in range(top + 1) for b in range(top + 1) for c in range(top + 1)]
+    return PBWElement(tg, {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in rng.sample(keys, size)})
+
+
+@pytest.mark.parametrize("tg", ["H", "L"])
+def test_element_integer_form_contract(tg):
+    # an element built from Fractions and one built from an unreduced integer
+    # form are the same element in every public reading
+    rng = random.Random(31)
+    for _ in range(10):
+        keys = rng.sample([(a, b, c) for a in range(3) for b in range(3) for c in range(3)], 5)
+        coeffs = {k: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for k in keys}
+        plain = PBWElement(tg, coeffs)
+        lcm = math.lcm(*(c.denominator for c in coeffs.values()))
+        assert plain.integer_form() == (lcm, {k: int(c * lcm) for k, c in coeffs.items()})
+        den = 3 * lcm
+        formed = PBWElement._from_ints(tg, den, {k: int(c * den) for k, c in coeffs.items()})
+        assert formed.integer_form()[0] == den
+        assert formed == plain and plain == formed and hash(formed) == hash(plain)
+        assert repr(formed) == repr(plain)
+        assert formed.coeffs == plain.coeffs == coeffs
+        assert formed.items() == plain.items() == sorted(coeffs.items())
+        assert not formed.is_zero()
+        # one numerator off by one, or the same numerators over another den
+        k = keys[rng.randrange(5)]
+        off = PBWElement._from_ints(tg, den, {**formed.integer_form()[1], k: int(coeffs[k] * den) + 1})
+        assert off != plain and plain != off
+        assert PBWElement._from_ints(tg, den + 1, formed.integer_form()[1]) != plain
+    zero = PBWElement._from_ints(tg, 5, {})
+    assert zero.is_zero() and zero == PBWElement(tg) and hash(zero) == hash(PBWElement(tg))
+    assert repr(zero) == repr(PBWElement(tg)) == f"PBWElement({tg}, 0)"
+    assert zero.coeffs == {} and zero.items() == []
+
+
+@pytest.mark.parametrize("tg", ["H", "L"])
+def test_element_scalar_products(tg):
+    rng = random.Random(37)
+    for _ in range(10):
+        x = _random_element(rng, tg)
+        for s in (0, 3, -2, Fraction(-5, 4), Fraction(0), Fraction(7, 3)):
+            expected = {k: c * s for k, c in x.coeffs.items() if c * s}
+            for out in (x * s, s * x):
+                assert out.coeffs == expected
+                assert out == PBWElement(tg, expected)
+                assert out.is_zero() == (s == 0)
+        assert (x * Fraction(7, 3)) * Fraction(3, 7) == x
+        assert x - x == PBWElement(tg) and (x - x).is_zero()
+    with pytest.raises(TypeError):
+        x * 0.5
+
+
+@pytest.mark.parametrize("tg", ["H", "L"])
+def test_element_products_match_rewriting(tg):
+    # x * y on integer forms equals the sum of the rewriting engine's
+    # monomial products scaled by the coefficient products
+    rng = random.Random(43)
+    for _ in range(15):
+        x = _random_element(rng, tg)
+        y = _random_element(rng, tg)
+        expected = {}
+        for k1, c1 in x.coeffs.items():
+            for k2, c2 in y.coeffs.items():
+                for k, c in naive_product(k1, k2, tg).items():
+                    expected[k] = expected.get(k, 0) + c1 * c2 * c
+        expected = {k: c for k, c in expected.items() if c}
+        prod = x * y
+        assert prod.coeffs == expected
+        assert prod == PBWElement(tg, expected)
+        assert prod.integer_form()[0] == x.integer_form()[0] * y.integer_form()[0]
+
+
+def _moved_rising(alpha, n, j, step, target):
+    # the right-hand side of sandwich_rising with subscript j moved by step
+    out = PBWElement.one(target)
+    for k in range(1, n + 1):
+        out = out * quadratic_factor(k - alpha + (step if k == j else 0), target)
+    return out
+
+
+def _rising_lhs(alpha, n, target):
+    return pbw.f_power(2, alpha, target) * pbw.f_power(1, n, target) * pbw.f_power(2, n - alpha, target)
+
+
+def _shift_left_moved(u, alpha, target):
+    # f2^alpha X_u against X_{u-alpha+1} f2^alpha, one off from shift_left
+    lhs = pbw.f_power(2, alpha, target) * quadratic_factor(u, target)
+    return lhs == quadratic_factor(u - alpha + 1, target) * pbw.f_power(2, alpha, target)
+
+
+@pytest.mark.parametrize("target", ["H", "L"])
+def test_identities_fail_when_moved_by_one(target):
+    # an equality that wrongly held would pass every identity; each law with
+    # one subscript moved by 1 must fail instead
+    rng = random.Random(13)
+    for _ in range(15):
+        u = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        alpha = rng.randint(1, 6)
+        assert shift_left(u, alpha, target)
+        assert not _shift_left_moved(u, alpha, target)
+    for n in range(1, 6):
+        for alpha in range(n + 1):
+            lhs = _rising_lhs(alpha, n, target)
+            assert lhs == _moved_rising(alpha, n, 0, 0, target)
+            for j in range(1, n + 1):
+                for step in (1, -1):
+                    assert lhs != _moved_rising(alpha, n, j, step, target), (alpha, n, j, step)
+
+
+@pytest.mark.parametrize("target", ["H", "L"])
+def test_identities_fail_when_moved_by_one_on_identities_inputs(target):
+    # the parameters `identities` draws, as in its seeded loop
+    rng = random.Random(5)
+    for _ in range(25):
+        u = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        alpha = rng.randint(0, 4)
+        beta = rng.randint(0, 300)
+        n = rng.randint(1, 4)
+        assert all(factor_shift_identities(alpha, beta, u, n, target).values())
+        if alpha:
+            assert not _shift_left_moved(u, alpha, target)
+        a = min(alpha, n)
+        lhs = _rising_lhs(a, n, target)
+        j = rng.randint(1, n)
+        assert lhs != _moved_rising(a, n, j, 1, target) and lhs != _moved_rising(a, n, j, -1, target)
+
+
+def test_identities_report_bytes_frozen():
+    # the factors-cold benchmark job of seed 5 in a fresh process; digest
+    # taken while products still ran on Fractions
+    proc = _run_fresh(["-m", "rank2verma", "identities", "--target", "both", "--trials", "100",
+                       "--alpha-max", "4", "--beta-max", "300", "--n-max", "4", "--seed", "5"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "647edfef0f83c0bb0b04c8fa768f9f0422f8ee75b6283fee1eedf52db5b5e220"
+    )
