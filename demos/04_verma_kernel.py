@@ -7,8 +7,9 @@ act with the raising generators by deleting letters, and read the kernel
 off sparse fraction-free elimination: each grade's e-action matrix is built
 once as integer rows affine in the weight, evaluated at the weight, brought
 to reduced echelon form exactly, and each free column gives one kernel
-vector.  Rows independent mod a prime are chosen once per grade; a weight
-is solved on those and the answer checked against every other row.
+vector.  The rows that led the pivots of a grade's first one-dimensional
+kernel are kept; a later weight is solved on those and the answer checked
+against every other row.
 """
 
 from fractions import Fraction

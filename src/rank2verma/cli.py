@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
 from .cartan import (
     CartanData,
-    FiniteTypeError,
     RootVector,
     orbit,
 )
@@ -500,16 +500,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, rows, code = args.handler(args)
-    except FiniteTypeError as exc:
+    except (ValueError, OverflowError, GradeCapExceeded) as exc:  # FiniteTypeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GradeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(args.command, payload, rows, args.format)
+    try:
+        _emit(args.command, payload, rows, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is left of the report, and the flush at
+        # exit, go to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -8,9 +8,10 @@ Quotient bases and reductions are read off the reduced echelon form with
 each row led at its lowest column.  Kernels take only the forward phase,
 with each row led at its highest column (far fewer steps on e-action
 matrices), and back-solve each free column in ints; the few vectors this
-gives are brought to the lowest-lead normalization by the full form.  Pivot
-sets are canonical, so all of these are deterministic and exact.
-Elimination mod a prime only chooses which rows to hand to that core.
+gives are brought to the lowest-lead normalization by the full form, and
+are returned in integer form together with the rows that led the pivots,
+which a caller may solve on alone at a later weight.  Pivot sets are
+canonical, so all of these are deterministic and exact.
 Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
 blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
 environment variable.
@@ -107,13 +108,22 @@ class FreeElement:
     def from_word(cls, word: Word, coeff: Fraction | int = 1) -> "FreeElement":
         return cls({word: Fraction(coeff)})
 
+    @classmethod
+    def _from_ints(cls, den: int, nums: dict[Word, int]) -> "FreeElement":
+        """The element sum(nums[w]/den * w), keeping that integer form; den
+        is positive and no numerator is zero.  `nums` is kept, not copied."""
+        elem = cls.__new__(cls)
+        elem.coeffs = {w: Fraction(v, den) for w, v in nums.items()}
+        elem._ints = (den, nums)
+        return elem
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def integer_form(self) -> tuple[int, dict[Word, int]]:
-        """(den, {word: numerator}): the form set in `_ints` by the element's
-        builder, else one over the lcm of the denominators.  Equality, hash
-        and display read only `coeffs`."""
+        """(den, {word: numerator}): the form the element was built from by
+        `_from_ints`, else one over the lcm of the denominators.  Equality,
+        hash and display read only `coeffs`."""
         if self._ints is not None:
             return self._ints
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
@@ -217,8 +227,9 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
     return _primitive(out) if out else out
 
 
-def _forward(rows) -> dict[int, dict[int, int]]:
-    """Row echelon form of sparse integer rows, fraction-free.
+def _forward(rows) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """Row echelon form of sparse integer rows, fraction-free, and for each
+    lead the index of the input row stored there.
 
     Rows stay integer: each step cross-multiplies two rows so that one
     column cancels, then divides out the content (integer-preserving
@@ -226,18 +237,22 @@ def _forward(rows) -> dict[int, dict[int, int]]:
     his exact divisor).  Rows go in sparsest first, which keeps fill-in
     down; a row is eliminated at its lowest column while that column leads
     a stored row, and is stored under it as {lead: primitive integer row}
-    otherwise, or dropped when it vanishes.
+    otherwise, or dropped when it vanishes.  A stored row is its input row
+    less earlier stored rows, so the input rows stored are independent over
+    Q and span the rest.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
+    origin: dict[int, int] = {}
+    for k, row in sorted(enumerate(rows), key=lambda kr: len(kr[1])):
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
                 pivots[lead] = row
+                origin[lead] = k
                 break
             row = _eliminate(row, prow, lead)
-    return pivots
+    return pivots, origin
 
 
 def _echelon(rows) -> dict[int, dict[int, int]]:
@@ -246,7 +261,7 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     lead's reduced row echelon row up to a scalar, so the leads (the pivot
     columns) and everything read off the rows do not depend on row order.
     """
-    pivots = _forward(rows)
+    pivots = _forward(rows)[0]
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         # the rows led by higher columns are already cleared, so removing
@@ -257,41 +272,15 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-_PRIME = (1 << 61) - 1
+def kernel_basis(rows: list[dict[int, int]], ncols: int) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """Basis of the right kernel of the matrix of sparse {column: nonzero
+    int} rows, and the indices, in increasing order, of the rows that lead
+    its pivots: they are independent over Q and span the others.
 
-
-def independent_rows(rows: list[dict[int, int]]) -> list[int]:
-    """Indices, in increasing order, of the sparse integer rows that lead a
-    pivot when the matrix is eliminated modulo the prime 2^61 - 1, sparsest
-    rows first.  They are linearly independent over Q, and their number is
-    the rank mod p, which is at most the rank over Q."""
-    pivots: dict[int, dict[int, int]] = {}
-    chosen = []
-    for k in sorted(range(len(rows)), key=lambda k: len(rows[k])):
-        row = {j: v % _PRIME for j, v in rows[k].items() if v % _PRIME}
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(row[lead], -1, _PRIME)
-                pivots[lead] = {j: v * inv % _PRIME for j, v in row.items()}
-                chosen.append(k)
-                break
-            f = row[lead]
-            for j, v in prow.items():
-                x = (row.get(j, 0) - f * v) % _PRIME
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
-    return sorted(chosen)
-
-
-def kernel_basis(rows: list, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the matrix, one vector per free column,
-    each normalized with a 1 in its free coordinate and 0 in the other free
-    coordinates, which fixes it uniquely.  A row is either a sparse
-    {column: nonzero int} dict or a dense sequence of rationals.
+    There is one vector per free column, with a 1 in its free coordinate
+    and 0 in the other free coordinates, which fixes it uniquely.  Each is
+    given in integer form (den, nums): den > 0 and a dense list of ints
+    with nums[j] / den the vector's j-th entry, in lowest terms overall.
 
     The free columns are those of the reduced echelon form with rows led
     at their lowest column, so each basis vector ends at its free column.
@@ -303,11 +292,7 @@ def kernel_basis(rows: list, ncols: int) -> list[list[Fraction]]:
     column and scaled to lead 1.
     """
     last = ncols - 1
-    pivots = _forward(
-        {last - j: v for j, v in _primitive(row).items()} if isinstance(row, dict)
-        else _integer_row((last - j, v) for j, v in enumerate(row))
-        for row in rows
-    )
+    pivots, origin = _forward([{last - j: v for j, v in _primitive(row).items()} for row in rows])
     kernel = []
     for free in (j for j in range(ncols) if j not in pivots):
         # 1 at the free column, 0 at the others, and from the highest lead
@@ -326,11 +311,13 @@ def kernel_basis(rows: list, ncols: int) -> list[list[Fraction]]:
         kernel.append(_primitive({j: v for j, v in enumerate(vec) if v}))
     basis = []
     for lead, row in sorted(_echelon(kernel).items(), reverse=True):
-        vec = [Fraction(0)] * ncols
+        # the row is primitive, so its lead is the least common denominator
+        sign = 1 if row[lead] > 0 else -1
+        nums = [0] * ncols
         for j, v in row.items():
-            vec[last - j] = Fraction(v, row[lead])
-        basis.append(vec)
-    return basis
+            nums[last - j] = sign * v
+        basis.append((sign * row[lead], nums))
+    return basis, sorted(origin.values())
 
 
 class GradedQuotient:

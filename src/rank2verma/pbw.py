@@ -8,9 +8,9 @@ basis f2^a f1^b h^c and hold their value as an integer form: one positive
 denominator and an integer numerator per monomial.  Their `coeffs`, a dict
 of Fractions, is built only when first read.  Two monomials multiply by one
 closed form, the same for both targets up to e, with no recursion.  The
-structure constants are integers, so every such product is integral, and a
-per-process memo keeps each one as integers; element products, sums and
-equality run on integers only.  A slow rewriting engine reduces the same
+structure constants are integers, so every such product is integral and
+is memoized per process as integers; element products, sums and equality
+run on integers only.  A slow rewriting engine reduces the same
 products one adjacent swap at a time and doubles as an independent check.
 
 Free words project into a target through a per-process cache of word
@@ -38,7 +38,12 @@ Monomial = tuple[int, int, int]  # exponents of f2, f1, h
 TARGETS = ("H", "L")
 
 
-def _mono_mul(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, Fraction]:
+# (k1, k2, target) -> _mono_mul(k1, k2, target).  The products are shared,
+# so nothing may mutate them.
+_MONO_PRODUCTS: dict[tuple[Monomial, Monomial, str], dict[Monomial, int]] = {}
+
+
+def _mono_mul(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, int]:
     """(f2^a1 f1^b1 h^c1)(f2^a2 f1^b2 h^c2) on the ordered basis, in closed form.
 
     Moving f1^b1 past f2^a2 gives, for k = 0..min(b1, a2), the term
@@ -47,15 +52,21 @@ def _mono_mul(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, Fractio
     h f1 = f1 (h+e) and h f2 = f2 (h-e), with e = 0 in "H" and e = 1 in "L":
     P_k(h) becomes P_k(h + e*b2) and h^c1 becomes (h + e(b2-a2))^c1.  The
     h-polynomial of term k is kept as integer coefficients (degree -> int)
-    over the common denominator 2^k, so each output term is one Fraction.
+    over the common denominator 2^k.  The bracket relations have integer
+    structure constants, so 2^k divides every term and each coefficient is
+    an integer.  Memoized per process.
     """
+    key = (k1, k2, target)
+    out = _MONO_PRODUCTS.get(key)
+    if out is not None:
+        return out
     a1, b1, c1 = k1
     a2, b2, c2 = k2
     e = 1 if target == "L" else 0
     s = e * (b2 - a2)
     # (h + s)^c1 h^c2, a single power of h when s == 0 (always in "H")
     poly = {c2 + i: math.comb(c1, i) * s ** (c1 - i) for i in range(c1 + 1)} if s else {c1 + c2: 1}
-    out: dict[Monomial, Fraction] = {}
+    out = {}
     for k in range(min(b1, a2) + 1):
         if k:
             # next factor of 2^k P_k(h + e*b2): 2h + e(2*b2 - a2 + b1 - (k-1))
@@ -69,24 +80,9 @@ def _mono_mul(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, Fractio
         weight = math.factorial(k) * math.comb(b1, k) * math.comb(a2, k)
         for d, v in poly.items():
             if v:
-                out[(a1 + a2 - k, b1 + b2 - k, d)] = Fraction(weight * v, 1 << k)
+                out[(a1 + a2 - k, b1 + b2 - k, d)] = weight * v >> k
+    _MONO_PRODUCTS[key] = out
     return out
-
-
-# (k1, k2, target) -> _mono_mul(k1, k2, target) as {monomial: int}.  The
-# ordered monomials span a ring over the integers (the bracket relations
-# have integer structure constants), so every coefficient of _mono_mul is an
-# integer.  The products are shared, so nothing may mutate them.
-_MONO_INT: dict[tuple[Monomial, Monomial, str], dict[Monomial, int]] = {}
-
-
-def _mono_int(k1: Monomial, k2: Monomial, target: str) -> dict[Monomial, int]:
-    """_mono_mul with integer coefficients, from the memo."""
-    key = (k1, k2, target)
-    prod = _MONO_INT.get(key)
-    if prod is None:
-        prod = _MONO_INT[key] = {k: c.numerator for k, c in _mono_mul(k1, k2, target).items()}
-    return prod
 
 
 # monomial -> its text in PBWElement.__repr__, rendered once per process
@@ -210,7 +206,7 @@ class PBWElement:
         for k1, v1 in nums.items():
             for k2, v2 in n2.items():
                 v12 = v1 * v2
-                for k, c in _mono_int(k1, k2, target).items():
+                for k, c in _mono_mul(k1, k2, target).items():
                     out[k] = get(k, 0) + v12 * c
         return PBWElement._from_ints(target, den * d2, {k: v for k, v in out.items() if v})
 
@@ -330,7 +326,7 @@ def _word_image(word: tuple[int, ...], target: str) -> dict[Monomial, int]:
         gen = _GENERATOR[word[j]]
         nxt: dict[Monomial, int] = {}
         for mono, v in image.items():
-            for key, c in _mono_int(mono, gen, target).items():
+            for key, c in _mono_mul(mono, gen, target).items():
                 nxt[key] = nxt.get(key, 0) + v * c
         image = {key: c for key, c in nxt.items() if c}
         _PROJECTION_CACHE[(target, word[: j + 1])] = image

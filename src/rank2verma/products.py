@@ -31,7 +31,7 @@ from .gamma import (
     case_weight,
     xi_of_mt,
 )
-from .pbw import Monomial, PBWElement, _mono_int, project, projection_defined
+from .pbw import Monomial, PBWElement, _mono_mul, project, projection_defined
 from .verma import singular_vectors
 
 
@@ -192,7 +192,7 @@ def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[
         nxt: dict[Monomial, list[int]] = {}
         for k1, p1 in out.items():
             for k2, p2 in factor.items():
-                for k, c in _mono_int(k1, k2, target).items():
+                for k, c in _mono_mul(k1, k2, target).items():
                     poly = nxt.setdefault(k, [0] * width)
                     for d1, v1 in enumerate(p1):
                         if v1:

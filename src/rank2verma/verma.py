@@ -11,10 +11,11 @@ The weight enters the e-action matrix of a grade only affinely, through
 lambda(h1) in the e1 block and lambda(h2) in the e2 block, while the
 quotient reduction does not depend on it.  So each grade's matrix is built
 once per process, as two weight-independent integer parts per block, and a
-weight costs one integer row assembly plus a kernel on the grade's cached
-independent rows (see `freealg.kernel_basis`), checked in ints against the
-others.  The vector, with coefficient 1 at its lexicographically largest
-word, keeps that integer form for `pbw.project` to read.
+weight costs one integer row assembly plus a kernel (see
+`freealg.kernel_basis`) on the rows that led the pivots of the grade's first
+one-dimensional kernel, checked in ints against the others.  Each vector,
+with coefficient 1 at its lexicographically largest word, keeps the
+kernel's integer form for `pbw.project` to read.
 
 SingularVectorResult is an immutable namedtuple: hashed and compared as its
 field tuple, so also iterable, orderable and equal to a plain tuple.
@@ -31,7 +32,6 @@ from .freealg import (
     FreeElement,
     GradedQuotient,
     graded_quotient,
-    independent_rows,
     kernel_basis,
 )
 from .gamma import WeightParam, kac_kazhdan
@@ -177,45 +177,43 @@ def _e_action_rows(g1: int, g2: int, weight: WeightParam, cartan: CartanData) ->
     return rows
 
 
-# (p, q, g1, g2) -> (chosen, rest): the row indices of a grade's e-action
-# matrix that are independent at some weight where its rank is ncols - 1,
-# and the other indices; set once, never replaced
+# (p, q, g1, g2) -> (chosen, rest): the rows of a grade's e-action matrix
+# that led the pivots of its first one-dimensional kernel, and the other row
+# indices; set once, never replaced
 _INDEPENDENT_ROWS_CACHE: dict[tuple[int, int, int, int], tuple[list[int], list[int]]] = {}
 
 
 def _kernel(g1: int, g2: int, weight: WeightParam, cartan: CartanData, words: list) -> list[FreeElement]:
     """`kernel_basis` of grade (g1, g2)'s e-action matrix at the weight, as elements on the words.
 
-    The first weight at which the rows independent mod 2^61 - 1 number
-    ncols - 1 fixes them for the grade.  A weight is then solved on those
-    rows alone, and the answer is kept when it is one vector that every
-    other row kills: the chosen rows have rank ncols - 1 and the full
-    matrix kills their kernel vector, so both have the same row space and
-    the same reduced echelon form.  Anything else, a larger kernel or a row
-    that fails, is solved on all rows.  The check runs in ints, on the
-    vector times the lcm of its denominators, and the kept vector carries
-    that integer form.
+    The first weight whose kernel on all rows is one vector fixes the rows
+    that led its pivots, ncols - 1 of them, for the grade.  A later weight
+    is solved on those rows alone, and the answer is kept when it is one
+    vector that every other row kills, checked in ints: the chosen rows then
+    have rank ncols - 1 and the full matrix kills their kernel vector, so
+    both have the same row space and the same reduced echelon form.
+    Anything else, a larger kernel or a row that fails, is solved on all
+    rows.  Each vector keeps the integer form the kernel gives it.
     """
-    ncols = len(words)
     rows = _e_action_rows(g1, g2, weight, cartan)
     key = (cartan.p, cartan.q, g1, g2)
     split = _INDEPENDENT_ROWS_CACHE.get(key)
-    if split is None:
-        found = independent_rows(rows)
-        if len(found) != ncols - 1:
-            return [FreeElement(dict(zip(words, vec))) for vec in kernel_basis(rows, ncols)]
-        taken = set(found)
-        split = _INDEPENDENT_ROWS_CACHE[key] = (found, [k for k in range(len(rows)) if k not in taken])
-    chosen, rest = split
-    kern = kernel_basis([rows[k] for k in chosen], ncols)
-    if len(kern) == 1:
-        den = math.lcm(*(c.denominator for c in kern[0]))
-        x = [c.numerator * (den // c.denominator) for c in kern[0]]
-        if all(sum(v * x[j] for j, v in rows[k].items()) == 0 for k in rest):
-            vec = FreeElement(dict(zip(words, kern[0])))
-            vec._ints = (den, {w: v for w, v in zip(words, x) if v})
-            return [vec]
-    return [FreeElement(dict(zip(words, vec))) for vec in kernel_basis(rows, ncols)]
+    if split is not None:
+        chosen, rest = split
+        kern = kernel_basis([rows[k] for k in chosen], len(words))[0]
+        if len(kern) == 1:
+            x = kern[0][1]
+            if all(sum(v * x[j] for j, v in rows[k].items()) == 0 for k in rest):
+                return _elements(kern, words)
+    kern, led = kernel_basis(rows, len(words))
+    if split is None and len(kern) == 1:
+        taken = set(led)
+        _INDEPENDENT_ROWS_CACHE[key] = (led, [k for k in range(len(rows)) if k not in taken])
+    return _elements(kern, words)
+
+
+def _elements(kern: list[tuple[int, list[int]]], words: list) -> list[FreeElement]:
+    return [FreeElement._from_ints(den, {w: v for w, v in zip(words, nums) if v}) for den, nums in kern]
 
 
 def singular_vectors(

@@ -296,6 +296,23 @@ def test_cli_import_skips_heavy_modules():
     assert proc.stdout.decode().strip() == "[]"
 
 
+def test_report_into_closed_pipe_exits_quietly():
+    # a reader that stops after 300 bytes: the rest of the report goes
+    # nowhere, with nothing on stderr and the run's own exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "rank2verma", "identities", "--target", "both", "--trials", "100",
+            "--alpha-max", "4", "--beta-max", "300", "--n-max", "4", "--seed", "5"]
+    whole = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert whole.stderr == b"" and len(whole.stdout) > 1 << 17  # more than a pipe holds
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert head == whole.stdout[:300]
+    assert (code, err) == (whole.returncode, b"")
+
+
 def test_verify_w3_report_bytes_frozen(capsys):
     # the (2,3) grid up to grade (8,5): digest taken before word images
     # were cached

@@ -14,7 +14,6 @@ from rank2verma.freealg import (
     GradedQuotient,
     check_grade,
     graded_quotient,
-    independent_rows,
     kernel_basis,
     serre_element,
     serre_grade,
@@ -80,9 +79,22 @@ def test_serre_element_frozen():
     )
 
 
+def _kernel(rows, ncols):
+    """kernel_basis of dense rational rows, as dense Fraction vectors; the
+    integer forms are checked to be in lowest terms and the rows that lead
+    the pivots to be independent, as many as the rank, and to span the rest."""
+    sparse = [freealg._integer_row(enumerate(row)) for row in rows]
+    ints, led = kernel_basis(sparse, ncols)
+    for den, nums in ints:
+        assert den > 0 and len(nums) == ncols and math.gcd(den, *nums) == 1
+    assert led == sorted(led) and len(led) == ncols - len(ints)
+    assert len(freealg._echelon([sparse[k] for k in led])) == len(led)
+    return [[Fraction(v, den) for v in nums] for den, nums in ints]
+
+
 def test_kernel_basis_frozen():
     rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
-    kern = kernel_basis(rows, 3)
+    kern = _kernel(rows, 3)
     assert kern == [
         [Fraction(-2), Fraction(1), Fraction(0)],
         [Fraction(-3), Fraction(0), Fraction(1)],
@@ -96,7 +108,7 @@ def test_kernel_basis_frozen():
         [F(1), F(2), F(-6, 7), F(-2), F(9, 2)],
         [F(0)] * 5,
     ]
-    kern = kernel_basis(rows, 5)
+    kern = _kernel(rows, 5)
     assert kern == [
         [F(-3, 7), F(9, 14), F(1), F(0), F(0)],
         [F(2), F(0), F(0), F(1), F(0)],
@@ -104,7 +116,10 @@ def test_kernel_basis_frozen():
     ]
     for vec in kern:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
-    assert kernel_basis([[F(0), F(0)]], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert _kernel([[F(0), F(0)]], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    # the rows that lead the pivots: row 1, the sparsest, goes in first,
+    # then row 0; row 2 is 2*(row 0) + 2*(row 1) and row 3 is zero
+    assert kernel_basis([{0: 1, 1: 2, 2: 3}, {1: 5}, {0: 2, 1: 14, 2: 6}, {}], 3) == ([(1, [-3, 0, 1])], [0, 1])
 
 
 def _lowest_lead_kernel(rows, ncols):
@@ -150,8 +165,8 @@ def test_kernel_basis_matches_lowest_lead_reference():
         rows = _random_matrix(rng, nrows, ncols, rank, rng.choice((1.0, 0.4)))
         sparse = [freealg._integer_row(enumerate(row)) for row in rows]
         kern = _lowest_lead_kernel(sparse, ncols)
-        assert kernel_basis(rows, ncols) == kern
-        assert kernel_basis([row for row in sparse if row], ncols) == kern
+        assert _kernel(rows, ncols) == kern
+        assert _kernel([row for row in rows if any(row)], ncols) == kern
         dims.add(len(kern))
         ranks.add(ncols - len(kern))
     assert ranks == set(range(7))
@@ -169,23 +184,11 @@ def test_kernel_basis_matches_lowest_lead_reference():
                     ncols = graded_quotient(g1, g2, cd).dim
                     for t in ts:
                         rows = _e_action_rows(g1, g2, case_weight(case, n, cd).at(m, t), cd)
-                        kern = kernel_basis(rows, ncols)
+                        kern = [[Fraction(v, den) for v in nums] for den, nums in kernel_basis(rows, ncols)[0]]
                         assert kern == _lowest_lead_kernel(rows, ncols), (p, q, case, n, m, t)
                         grade_dims.add(len(kern))
     assert {0, 1, 2, 3} <= dims
     assert grade_dims == {1, 3}  # dim 3 at (2,2), case 2 or 4, m = 3, t = -3/2
-
-
-def test_independent_rows():
-    # sparsest rows first: row 2 leads column 1, row 0 column 0, and rows 1
-    # and 3 reduce to zero
-    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 5}, {0: 3, 1: 1, 2: 9}]
-    assert independent_rows(rows) == [0, 2]
-    assert independent_rows([{}, {2: 7}]) == [1]
-    # a row that vanishes mod 2^61 - 1 is never chosen, so the count can
-    # fall below the rank over Q, never above it
-    prime = (1 << 61) - 1
-    assert independent_rows([{0: prime, 1: 2 * prime}, {1: 1}]) == [1]
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1)])

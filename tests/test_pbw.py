@@ -92,13 +92,14 @@ def test_closed_form_matches_rewriting():
 
 def test_closed_form_wide_grid_frozen():
     # f-exponents <= 6, h-powers <= 3; digest taken from the products of the
-    # earlier code, a closed form for H and a cached recursion for L
+    # earlier code, a closed form for H and a cached recursion for L, whose
+    # coefficients were Fractions and are rendered as such
     wide = [(a, b, c) for a in range(7) for b in range(7) for c in range(4)]
     digest = hashlib.sha256()
     for target in ("H", "L"):
         for k1 in wide:
             for k2 in wide:
-                prod = sorted(pbw._mono_mul(k1, k2, target).items())
+                prod = sorted((k, Fraction(c)) for k, c in pbw._mono_mul(k1, k2, target).items())
                 digest.update(f"{target} {k1} {k2} {prod}\n".encode())
     assert digest.hexdigest() == "aeb694c2431103ec07b013143a4984baf182b575f83a649fd9c4dacec46c0153"
 
@@ -258,9 +259,9 @@ def test_project_reads_integer_form(tg):
         coeffs = {w: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for w in words}
         plain = FreeElement(coeffs)
         den = 3 * math.lcm(*(c.denominator for c in coeffs.values()))
-        formed = FreeElement(coeffs)
-        formed._ints = (den, {w: int(c * den) for w, c in coeffs.items()})
-        assert formed.integer_form() == formed._ints
+        nums = {w: int(c * den) for w, c in coeffs.items()}
+        formed = FreeElement._from_ints(den, nums)
+        assert formed.integer_form() == (den, nums)
         assert plain.integer_form()[0] == den // 3
         assert formed == plain and hash(formed) == hash(plain) and repr(formed) == repr(plain)
         assert project(formed, tg) == project(plain, tg) == _scaled_images(plain, tg)
@@ -359,20 +360,18 @@ def test_sandwich_range_checks():
 
 def test_integer_monomial_products_match_closed_form_on_wide_grid():
     # the grid of test_closed_form_wide_grid_frozen: every closed-form
-    # coefficient is an integer, and the integer memo holds the same products
+    # coefficient is a nonzero int, and the memo hands back the same product
     wide = [(a, b, c) for a in range(7) for b in range(7) for c in range(4)]
-    pbw._MONO_INT.clear()
+    pbw._MONO_PRODUCTS.clear()
     try:
         for target in ("H", "L"):
             for k1 in wide:
                 for k2 in wide:
-                    closed = pbw._mono_mul(k1, k2, target)
-                    assert all(c.denominator == 1 for c in closed.values()), (target, k1, k2)
-                    got = pbw._mono_int(k1, k2, target)
-                    assert got == closed and pbw._MONO_INT[(k1, k2, target)] is got, (target, k1, k2)
-                    assert all(type(c) is int for c in got.values())
+                    got = pbw._mono_mul(k1, k2, target)
+                    assert all(type(c) is int and c for c in got.values()), (target, k1, k2)
+                    assert pbw._MONO_PRODUCTS[(k1, k2, target)] is got is pbw._mono_mul(k1, k2, target)
     finally:
-        pbw._MONO_INT.clear()
+        pbw._MONO_PRODUCTS.clear()
 
 
 def _random_element(rng, tg, size=4, top=2):

@@ -288,8 +288,8 @@ def _clear_caches():
 def _kernel_on_all_rows(weight, g1, g2, cd):
     source = graded_quotient(g1, g2, cd)
     return [
-        FreeElement({w: c for w, c in zip(source.basis_words, vec) if c})
-        for vec in kernel_basis(_e_action_rows(g1, g2, weight, cd), source.dim)
+        FreeElement({w: Fraction(v, den) for w, v in zip(source.basis_words, nums) if v})
+        for den, nums in kernel_basis(_e_action_rows(g1, g2, weight, cd), source.dim)[0]
     ]
 
 
@@ -297,9 +297,10 @@ def _kernel_on_all_rows(weight, g1, g2, cd):
 def test_singular_vectors_match_kernel_on_all_rows(p, q):
     # at every family grade with g1 + g2 <= 9 and each family weight there,
     # solving on the cached independent rows gives what eliminating every
-    # row gives; the first t fixes the rows, t = -3/2 is nongeneric at some
-    # grades, and a weight moved off the line of each grade's first family
-    # has no kernel vector to pass the check
+    # row gives; the first t fixes the rows, which are independent over Q
+    # at that weight, t = -3/2 is nongeneric at some grades, and a weight
+    # moved off the line of each grade's first family has no kernel vector
+    # to pass the check
     cd = CartanData(p, q)
     ts = (Fraction(1, 3), Fraction(-7, 2), random_rational(random.Random(p * 10 + q + 1)), Fraction(-3, 2))
     try:
@@ -315,8 +316,13 @@ def test_singular_vectors_match_kernel_on_all_rows(p, q):
             off = WeightParam(off.x + Fraction(1, 7), off.y + Fraction(1, 5), off.shifted)
             weights.append((off, family_root(case, n, cd), m))
             for weight, root, m in weights:
+                cached = (p, q, g1, g2) in verma._INDEPENDENT_ROWS_CACHE
                 res = singular_vectors(weight, root, m, cd)
                 assert list(res.vectors) == _kernel_on_all_rows(weight, g1, g2, cd), (g1, g2, weight)
+                if not cached and (p, q, g1, g2) in verma._INDEPENDENT_ROWS_CACHE:
+                    chosen = verma._INDEPENDENT_ROWS_CACHE[(p, q, g1, g2)][0]
+                    rows = _e_action_rows(g1, g2, weight, cd)
+                    assert len(freealg._echelon([rows[k] for k in chosen])) == len(chosen), (g1, g2, weight)
             assert res.kernel_dim == 0  # at the weight moved off the line
             chosen, rest = verma._INDEPENDENT_ROWS_CACHE[(p, q, g1, g2)]
             assert len(chosen) == graded_quotient(g1, g2, cd).dim - 1
@@ -380,13 +386,21 @@ def test_critical_level_kernel_dims(case, monkeypatch):
 
 
 @pytest.mark.parametrize("p,q,delta,top", [(2, 2, (1, 1), 5), (1, 4, (1, 2), 4), (4, 1, (2, 1), 4)])
-def test_critical_line_kernel_dims_are_partition_numbers(p, q, delta, top):
+def test_critical_line_kernel_dims_are_partition_numbers(p, q, delta, top, monkeypatch):
     # on the critical line of the imaginary root delta, q*a*x' + p*b*y' = 0
     # in shifted coordinates, the kernel at grade m*delta of a generic point
     # has dimension p(m), and off the line it is 0.  No weight gives these
     # grades a one-dimensional kernel once m > 1, so their rows are never
-    # fixed: every kernel is solved on all rows and carries no integer form
+    # fixed: every kernel, a repeat one too, is one elimination of all rows.
+    # Every vector carries the kernel's integer form
     cd = CartanData(p, q)
+    calls = []
+
+    def recording(rows, ncols):
+        calls.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(verma, "kernel_basis", recording)
     root = RootVector(*delta)
     x = Fraction(2, 7)
     on_line = WeightParam(x, -q * delta[0] * x / (p * delta[1]), True)
@@ -400,7 +414,11 @@ def test_critical_line_kernel_dims_are_partition_numbers(p, q, delta, top):
             assert list(res.vectors) == _kernel_on_all_rows(on_line, g1, g2, cd)
             assert all(annihilates(vec, on_line, cd) for vec in res.vectors)
             assert ((p, q, g1, g2) in verma._INDEPENDENT_ROWS_CACHE) == (dim == 1)
-            assert all((vec._ints is None) == (dim > 1) for vec in res.vectors)
+            if m > 1:
+                calls.clear()
+                assert singular_vectors(on_line, root, m, cd) == res
+                assert calls == [len(_e_action_rows(g1, g2, on_line, cd))]
+            assert all(vec._ints is not None for vec in res.vectors)
             for vec in res.vectors:
                 den, nums = vec.integer_form()
                 assert {w: Fraction(v, den) for w, v in nums.items()} == vec.coeffs
