@@ -24,7 +24,7 @@ from .cartan import (
     RootVector,
     orbit,
 )
-from .freealg import GradeCapExceeded, grade_cap, word_str
+from .freealg import GradeCapExceeded, _fraction_str, grade_cap, word_str
 from .gamma import (
     GENERIC_T_SAMPLES,
     GammaTable,
@@ -223,13 +223,14 @@ def cmd_singular(args) -> tuple[dict, list[dict], int]:
     for vi, vec in enumerate(res.vectors):
         ann = annihilates(vec, weight, cartan)
         all_annihilated = all_annihilated and ann
-        for w, c in vec.items():
+        den, nums = vec.integer_form()
+        for w in sorted(nums):
             rows.append(
                 {
                     "vector": vi,
                     "word": "".join(map(str, w)),
                     "pretty": word_str(w),
-                    "coeff": _rat(c),
+                    "coeff": _fraction_str(nums[w], den),
                     "annihilated": ann,
                 }
             )
@@ -261,13 +262,17 @@ def _weight_doc(weight) -> dict | None:
 
 
 def _vector_doc(vec) -> dict | None:
-    return None if vec is None else {"".join(map(str, w)): _rat(c) for w, c in vec.items()}
+    if vec is None:
+        return None
+    den, nums = vec.integer_form()
+    return {"".join(map(str, w)): _fraction_str(nums[w], den) for w in sorted(nums)}
 
 
 def _pbw_doc(elem) -> dict | None:
     if elem is None:
         return None
-    return {f"{a},{b},{c}": _rat(co) for (a, b, c), co in elem.items()}
+    den, nums = elem.integer_form()
+    return {f"{a},{b},{c}": _fraction_str(nums[a, b, c], den) for a, b, c in sorted(nums)}
 
 
 # fixed parameter grid for the verify-time identity pass

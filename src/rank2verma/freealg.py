@@ -1,17 +1,21 @@
 """Graded slices of the free algebra on the two lowering generators.
 
 Words are tuples over {1, 2}, compared lexicographically with 1 < 2, and a
-grade (g1, g2) counts occurrences of each letter.  The ideal slice spanned
-by framed Serre relators, and the matrices whose kernels are asked for, go
-through one exact core: sparse fraction-free elimination of integer rows.
-Quotient bases and reductions are read off the reduced echelon form with
-each row led at its lowest column.  Kernels take only the forward phase,
-with each row led at its highest column (far fewer steps on e-action
-matrices), and back-solve each free column in ints; the few vectors this
-gives are brought to the lowest-lead normalization by the full form, and
-are returned in integer form together with the rows that led the pivots,
-which a caller may solve on alone at a later weight.  Pivot sets are
-canonical, so all of these are deterministic and exact.
+grade (g1, g2) counts occurrences of each letter.  An element holds its
+value as an integer form, one positive denominator and an integer numerator
+per word, and builds its Fraction coefficients only when they are read;
+`_fraction_str` renders one coefficient of such a form as `Fraction` does.
+The ideal slice spanned by framed Serre relators, and the matrices whose
+kernels are asked for, go through one exact core: sparse fraction-free
+elimination of integer rows.  Quotient bases and reductions are read off
+the reduced echelon form with each row led at its lowest column; a
+reduction runs in ints and only its result is in Fractions.  Kernels take
+only the forward phase, with each row led at its highest column (far fewer
+steps on e-action matrices), and back-solve each free column in ints; the
+few vectors this gives are brought to the lowest-lead normalization by the
+full form, and are returned in integer form together with the rows that
+led the pivots, which a caller may solve on alone at a later weight.  Pivot
+sets are canonical, so all of these are deterministic and exact.
 Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
 blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
 environment variable.
@@ -89,48 +93,68 @@ def word_str(word: Word) -> str:
     return _WORD_STR_CACHE[word]
 
 
-class FreeElement:
-    """Finitely supported rational combination of words of one grade."""
+def _fraction_str(num: int, den: int) -> str:
+    """The text of Fraction(num, den), den > 0, as `Fraction.__str__` gives
+    it, with one gcd and no Fraction built."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
-    __slots__ = ("coeffs", "_ints")
+
+class FreeElement:
+    """Finitely supported rational combination of words of one grade.
+
+    The value is held as an integer form (den, {word: numerator}) with
+    den > 0 and no zero numerator; `coeffs` is its Fraction dict, built the
+    first time it is read.  Arithmetic, equality and display read only the
+    integer form, which need not be reduced; the display text is rendered
+    once per element.
+    """
+
+    __slots__ = ("_ints", "_coeffs", "_text")
 
     def __init__(self, coeffs: dict[Word, Fraction] | None = None):
-        self._ints: tuple[int, dict[Word, int]] | None = None
-        self.coeffs: dict[Word, Fraction] = {}
+        self._coeffs: dict[Word, Fraction] = {}
+        self._text = None
         if coeffs:
             for w, c in coeffs.items():
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
-                    self.coeffs[w] = c
+                    self._coeffs[w] = c
+        den = math.lcm(*(c.denominator for c in self._coeffs.values()))
+        self._ints = (den, {w: c.numerator * (den // c.denominator) for w, c in self._coeffs.items()})
 
     @classmethod
     def from_word(cls, word: Word, coeff: Fraction | int = 1) -> "FreeElement":
-        return cls({word: Fraction(coeff)})
+        return cls._from_ints(coeff.denominator, {word: coeff.numerator} if coeff else {})
 
     @classmethod
     def _from_ints(cls, den: int, nums: dict[Word, int]) -> "FreeElement":
-        """The element sum(nums[w]/den * w), keeping that integer form; den
+        """The element sum(nums[w]/den * w), without building a Fraction; den
         is positive and no numerator is zero.  `nums` is kept, not copied."""
         elem = cls.__new__(cls)
-        elem.coeffs = {w: Fraction(v, den) for w, v in nums.items()}
         elem._ints = (den, nums)
+        elem._coeffs = elem._text = None
         return elem
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def integer_form(self) -> tuple[int, dict[Word, int]]:
-        """(den, {word: numerator}): the form the element was built from by
-        `_from_ints`, else one over the lcm of the denominators.  Equality,
-        hash and display read only `coeffs`."""
-        if self._ints is not None:
-            return self._ints
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        return den, {w: c.numerator * (den // c.denominator) for w, c in self.coeffs.items()}
+        """(den, {word: numerator}), possibly unreduced; shared with the
+        element, so nothing may mutate it."""
+        return self._ints
+
+    @property
+    def coeffs(self) -> dict[Word, Fraction]:
+        """{word: Fraction}, built from the integer form once."""
+        if self._coeffs is None:
+            den, nums = self._ints
+            self._coeffs = {w: Fraction(v, den) for w, v in nums.items()}
+        return self._coeffs
+
+    def is_zero(self) -> bool:
+        return not self._ints[1]
 
     def grade(self) -> tuple[int, int] | None:
-        grades = {word_grade(w) for w in self.coeffs}
+        grades = {word_grade(w) for w in self._ints[1]}
         if len(grades) > 1:
             raise ValueError("element mixes grades")
         return grades.pop() if grades else None
@@ -139,10 +163,13 @@ class FreeElement:
         return sorted(self.coeffs.items())
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return FreeElement(out)
+        (d1, n1), (d2, n2) = self._ints, other._ints
+        den = math.lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {w: v * s1 for w, v in n1.items()}
+        for w, v in n2.items():
+            out[w] = out.get(w, 0) + v * s2
+        return FreeElement._from_ints(den, {w: v for w, v in out.items() if v})
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + (-1) * other
@@ -150,26 +177,32 @@ class FreeElement:
     def __mul__(self, scalar) -> "FreeElement":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return FreeElement({w: c * scalar for w, c in self.coeffs.items()})
+        den, nums = self._ints
+        a = scalar.numerator
+        return FreeElement._from_ints(den * scalar.denominator, {w: v * a for w, v in nums.items()} if a else {})
 
     __rmul__ = __mul__
 
     def framed(self, left: Word, right: Word) -> "FreeElement":
         """left * self * right with words acting by concatenation."""
-        return FreeElement({left + w + right: c for w, c in self.coeffs.items()})
+        den, nums = self._ints
+        return FreeElement._from_ints(den, {left + w + right: v for w, v in nums.items()})
 
     def __eq__(self, other):
         if not isinstance(other, FreeElement):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        (d1, n1), (d2, n2) = self._ints, other._ints
+        # n1[w]/d1 == n2[w]/d2 at every w, cross-multiplied
+        return n1.keys() == n2.keys() and all(v * d2 == n2[w] * d1 for w, v in n1.items())
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c})*{word_str(w)}" for w, c in self.items())
+        if self._text is None:
+            den, nums = self._ints
+            self._text = " + ".join(f"({_fraction_str(nums[w], den)})*{word_str(w)}" for w in sorted(nums)) or "0"
+        return self._text
 
 
 def serre_element(which: int, cartan: CartanData) -> FreeElement:
@@ -181,11 +214,11 @@ def serre_element(which: int, cartan: CartanData) -> FreeElement:
         i, j, k = 2, 1, cartan.q
     else:
         raise ValueError("which must be 1 or 2")
-    coeffs = {}
+    nums = {}
     for r in range(k + 2):
         w = (i,) * (k + 1 - r) + (j,) + (i,) * r
-        coeffs[w] = Fraction((-1) ** r * math.comb(k + 1, r))
-    return FreeElement(coeffs)
+        nums[w] = (-1) ** r * math.comb(k + 1, r)
+    return FreeElement._from_ints(1, nums)
 
 
 def serre_grade(which: int, cartan: CartanData) -> tuple[int, int]:
@@ -200,16 +233,6 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     """The row divided by the gcd of its entries."""
     g = math.gcd(*row.values())
     return row if g == 1 else {j: a // g for j, a in row.items()}
-
-
-def _integer_row(entries) -> dict[int, int]:
-    """Sparse primitive integer row proportional to the (column, rational)
-    pairs given: denominators cleared, content divided out, zeros dropped."""
-    entries = [(j, v) for j, v in entries if v]
-    if not entries:
-        return {}
-    den = math.lcm(*(v.denominator for _, v in entries))
-    return _primitive({j: v.numerator * (den // v.denominator) for j, v in entries})
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
@@ -335,7 +358,7 @@ class GradedQuotient:
         self.words = words_of_grade(g1, g2)
         self.index = {w: k for k, w in enumerate(self.words)}
         self._pivots = _echelon(
-            _integer_row((self.index[w], c) for w, c in el.coeffs.items())
+            _primitive({self.index[w]: v for w, v in el.integer_form()[1].items()})
             for el in self._ideal_elements(g1, g2, cartan)
         )
         self.basis_words = [w for k, w in enumerate(self.words) if k not in self._pivots]
@@ -364,19 +387,24 @@ class GradedQuotient:
     def reduce(self, elem: FreeElement) -> dict[Word, Fraction]:
         """Coordinates of the element's image on the quotient basis: each
         word at a pivot column is replaced by its row's other columns, which
-        are all basis words."""
-        out: dict[int, Fraction] = {}
-        for w, c in elem.coeffs.items():
-            col = self.index[w]
-            prow = self._pivots.get(col)
+        are all basis words.  Worked in ints over den * L, with den the
+        element's denominator and L the lcm of the pivot leads it hits."""
+        den, nums = elem.integer_form()
+        pivots, index = self._pivots, self.index
+        hits = [(index[w], v) for w, v in nums.items()]
+        scale = math.lcm(*(pivots[col][col] for col, _ in hits if col in pivots))
+        out: dict[int, int] = {}
+        for col, v in hits:
+            prow = pivots.get(col)
             if prow is None:
-                out[col] = out.get(col, 0) + c
+                out[col] = out.get(col, 0) + v * scale
                 continue
-            f = c / prow[col]
+            f = v * (scale // prow[col])
             for j, a in prow.items():
                 if j != col:
                     out[j] = out.get(j, 0) - f * a
-        return {self.words[k]: c for k, c in sorted(out.items()) if c}
+        den *= scale
+        return {self.words[k]: Fraction(v, den) for k, v in sorted(out.items()) if v}
 
     def in_ideal(self, elem: FreeElement) -> bool:
         return not self.reduce(elem)

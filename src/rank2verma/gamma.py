@@ -116,6 +116,9 @@ class AffineForm:
         )
 
     def __hash__(self):
+        # a constant form equals its c0, so it hashes as c0
+        if not (self.cm or self.cv):
+            return hash(self.c0)
         return hash((self.c0, self.cm, self.cv, self.variable))
 
     def at(self, m: Rat, value: Rat = 0) -> Fraction:

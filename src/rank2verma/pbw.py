@@ -31,7 +31,7 @@ import operator
 from fractions import Fraction
 
 from .cartan import CartanData
-from .freealg import FreeElement
+from .freealg import FreeElement, _fraction_str
 
 Monomial = tuple[int, int, int]  # exponents of f2, f1, h
 
@@ -230,7 +230,8 @@ class PBWElement:
     def __repr__(self):
         if self.is_zero():
             return f"PBWElement({self.target}, 0)"
-        return " + ".join(f"({c})*{_mono_str(k)}" for k, c in self.items())
+        den, nums = self._ints
+        return " + ".join(f"({_fraction_str(nums[k], den)})*{_mono_str(k)}" for k in sorted(nums))
 
 
 # --- independent route: step-by-step rewriting -----------------------------

@@ -14,8 +14,8 @@ once per process, as two weight-independent integer parts per block, and a
 weight costs one integer row assembly plus a kernel (see
 `freealg.kernel_basis`) on the rows that led the pivots of the grade's first
 one-dimensional kernel, checked in ints against the others.  Each vector,
-with coefficient 1 at its lexicographically largest word, keeps the
-kernel's integer form for `pbw.project` to read.
+with coefficient 1 at its lexicographically largest word, is the kernel's
+integer form; the raising action also runs on integer forms.
 
 SingularVectorResult is an immutable namedtuple: hashed and compared as its
 field tuple, so also iterable, orderable and equal to a plain tuple.
@@ -49,25 +49,25 @@ def e_action(i: int, elem: FreeElement, weight: WeightParam, cartan: CartanData)
     if i not in (1, 2):
         raise ValueError("generator index must be 1 or 2")
     w = weight.to_unshifted()
-    x, y = Fraction(w.x), Fraction(w.y)
-    p, q = cartan.p, cartan.q
-    out: dict[tuple[int, ...], Fraction] = {}
-    for word, c in elem.coeffs.items():
+    z = Fraction(w.x if i == 1 else w.y)
+    # with z = X/D, X + a1*g1 + a2*g2 is D times the eigenvalue
+    X, D = z.numerator, z.denominator
+    a1, a2 = (-2 * D, cartan.p * D) if i == 1 else (cartan.q * D, -2 * D)
+    den, nums = elem.integer_form()
+    out: dict[tuple[int, ...], int] = {}
+    for word, c in nums.items():
         g1 = g2 = 0
         for r in range(len(word) - 1, -1, -1):
             if word[r] == i:
-                if i == 1:
-                    coeff = x - 2 * g1 + p * g2
-                else:
-                    coeff = y + q * g1 - 2 * g2
+                coeff = X + a1 * g1 + a2 * g2
                 if coeff:
                     reduced = word[:r] + word[r + 1 :]
-                    out[reduced] = out.get(reduced, Fraction(0)) + c * coeff
+                    out[reduced] = out.get(reduced, 0) + c * coeff
             if word[r] == 1:
                 g1 += 1
             else:
                 g2 += 1
-    return FreeElement(out)
+    return FreeElement._from_ints(den * D, {w: v for w, v in out.items() if v})
 
 
 def annihilates(elem: FreeElement, weight: WeightParam, cartan: CartanData) -> bool:

@@ -79,11 +79,21 @@ def test_serre_element_frozen():
     )
 
 
+def _integer_row(entries) -> dict[int, int]:
+    """Sparse primitive integer row proportional to the (column, rational)
+    pairs given: denominators cleared, content divided out, zeros dropped."""
+    entries = [(j, v) for j, v in entries if v]
+    if not entries:
+        return {}
+    den = math.lcm(*(v.denominator for _, v in entries))
+    return freealg._primitive({j: v.numerator * (den // v.denominator) for j, v in entries})
+
+
 def _kernel(rows, ncols):
     """kernel_basis of dense rational rows, as dense Fraction vectors; the
     integer forms are checked to be in lowest terms and the rows that lead
     the pivots to be independent, as many as the rank, and to span the rest."""
-    sparse = [freealg._integer_row(enumerate(row)) for row in rows]
+    sparse = [_integer_row(enumerate(row)) for row in rows]
     ints, led = kernel_basis(sparse, ncols)
     for den, nums in ints:
         assert den > 0 and len(nums) == ncols and math.gcd(den, *nums) == 1
@@ -163,7 +173,7 @@ def test_kernel_basis_matches_lowest_lead_reference():
         rank = rng.randint(0, 6)
         nrows, ncols = rng.randint(max(rank, 1), 7), rng.randint(max(rank, 1), 7)
         rows = _random_matrix(rng, nrows, ncols, rank, rng.choice((1.0, 0.4)))
-        sparse = [freealg._integer_row(enumerate(row)) for row in rows]
+        sparse = [_integer_row(enumerate(row)) for row in rows]
         kern = _lowest_lead_kernel(sparse, ncols)
         assert _kernel(rows, ncols) == kern
         assert _kernel([row for row in rows if any(row)], ncols) == kern

@@ -83,6 +83,20 @@ def test_affine_form_arithmetic():
     assert f != m
 
 
+def test_affine_form_hash_matches_equality():
+    # equal objects hash alike: a constant form equals its constant
+    for c in (0, 3, -2, Fraction(5, 7)):
+        form = AffineForm.const(c)
+        assert form == c and hash(form) == hash(c)
+        assert len({form, c, Fraction(c)}) == 1
+    # the variable name of a constant form does not matter
+    assert hash(AffineForm(3, 0, 0, "xi")) == hash(AffineForm(3)) == hash(3)
+    t = AffineForm.var_term("t")
+    f = 2 * AffineForm.m_term() - t + 1
+    assert hash(f) == hash(AffineForm(1, 2, -1, "t")) and f in {AffineForm(1, 2, -1, "t")}
+    assert f - f == 0 and hash(f - f) == hash(0)
+
+
 def test_affine_form_variable_rules():
     t = AffineForm.var_term("t")
     xi = AffineForm.var_term("xi")
