@@ -54,9 +54,6 @@ class RootVector(namedtuple("RootVector", "k1 k2")):
         p, q = cartan.p, cartan.q
         return q * self.k1 * self.k1 - p * q * self.k1 * self.k2 + p * self.k2 * self.k2
 
-    def scaled(self, m: int) -> "RootVector":
-        return RootVector(m * self.k1, m * self.k2)
-
     def as_pair(self) -> tuple[int, int]:
         return (self.k1, self.k2)
 

@@ -261,18 +261,20 @@ def _weight_doc(weight) -> dict | None:
     return None if weight is None else {"x": _rat(weight.x), "y": _rat(weight.y)}
 
 
-def _vector_doc(vec) -> dict | None:
-    if vec is None:
-        return None
-    den, nums = vec.integer_form()
-    return {"".join(map(str, w)): _fraction_str(nums[w], den) for w in sorted(nums)}
-
-
-def _pbw_doc(elem) -> dict | None:
+def _element_doc(elem, sep: str) -> dict | None:
+    """{key: coefficient text} of an element, each key's entries joined by sep."""
     if elem is None:
         return None
     den, nums = elem.integer_form()
-    return {f"{a},{b},{c}": _fraction_str(nums[a, b, c], den) for a, b, c in sorted(nums)}
+    return {sep.join(map(str, k)): _fraction_str(nums[k], den) for k in sorted(nums)}
+
+
+def _vector_doc(vec) -> dict | None:
+    return _element_doc(vec, "")
+
+
+def _pbw_doc(elem) -> dict | None:
+    return _element_doc(elem, ",")
 
 
 # fixed parameter grid for the verify-time identity pass

@@ -1,10 +1,11 @@
 """Graded slices of the free algebra on the two lowering generators.
 
 Words are tuples over {1, 2}, compared lexicographically with 1 < 2, and a
-grade (g1, g2) counts occurrences of each letter.  An element holds its
-value as an integer form, one positive denominator and an integer numerator
-per word, and builds its Fraction coefficients only when they are read;
-`_fraction_str` renders one coefficient of such a form as `Fraction` does.
+grade (g1, g2) counts occurrences of each letter.  `IntegerForm` is the
+number format of free and PBW elements: one positive denominator and an
+integer numerator per key, with the Fraction coefficients built only when
+they are read; `FreeElement` is that form over words, and `_fraction_str`
+renders one coefficient of such a form as `Fraction` does.
 The ideal slice spanned by framed Serre relators, and the matrices whose
 kernels are asked for, go through one exact core: sparse fraction-free
 elimination of integer rows.  Quotient bases and reductions are read off
@@ -100,58 +101,135 @@ def _fraction_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-class FreeElement:
-    """Finitely supported rational combination of words of one grade.
+class IntegerForm:
+    """Finitely supported rational combination of keys, the number format
+    shared by free and PBW elements.
 
-    The value is held as an integer form (den, {word: numerator}) with
+    The value is held as an integer form (den, {key: numerator}) with
     den > 0 and no zero numerator; `coeffs` is its Fraction dict, built the
     first time it is read.  Arithmetic, equality and display read only the
     integer form, which need not be reduced; the display text is rendered
-    once per element.
+    once per element.  Operands of another class make the operators return
+    NotImplemented.  A subclass names its key renderer `_key_str`; its
+    `_space` are the arguments that `_from_ints` takes before den (the
+    target of a PBW element), which two operands must share.
     """
 
     __slots__ = ("_ints", "_coeffs", "_text")
 
-    def __init__(self, coeffs: dict[Word, Fraction] | None = None):
-        self._coeffs: dict[Word, Fraction] = {}
+    def __init__(self, coeffs: dict | None = None):
+        self._coeffs = {}
         self._text = None
         if coeffs:
-            for w, c in coeffs.items():
+            for k, c in coeffs.items():
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
-                    self._coeffs[w] = c
+                    self._coeffs[k] = c
         den = math.lcm(*(c.denominator for c in self._coeffs.values()))
-        self._ints = (den, {w: c.numerator * (den // c.denominator) for w, c in self._coeffs.items()})
+        self._ints = (den, {k: c.numerator * (den // c.denominator) for k, c in self._coeffs.items()})
 
     @classmethod
-    def from_word(cls, word: Word, coeff: Fraction | int = 1) -> "FreeElement":
-        return cls._from_ints(coeff.denominator, {word: coeff.numerator} if coeff else {})
-
-    @classmethod
-    def _from_ints(cls, den: int, nums: dict[Word, int]) -> "FreeElement":
-        """The element sum(nums[w]/den * w), without building a Fraction; den
+    def _from_ints(cls, den: int, nums: dict):
+        """The element sum(nums[k]/den * k), without building a Fraction; den
         is positive and no numerator is zero.  `nums` is kept, not copied."""
         elem = cls.__new__(cls)
         elem._ints = (den, nums)
         elem._coeffs = elem._text = None
         return elem
 
-    def integer_form(self) -> tuple[int, dict[Word, int]]:
-        """(den, {word: numerator}), possibly unreduced; shared with the
+    def _space(self) -> tuple:
+        return ()
+
+    def _peer(self, other) -> bool:
+        """Whether other is an operand of this element's class; one in
+        another space raises ValueError."""
+        if type(other) is not type(self):
+            return False
+        if other._space() != self._space():
+            raise ValueError("mixed targets")
+        return True
+
+    def integer_form(self) -> tuple[int, dict]:
+        """(den, {key: numerator}), possibly unreduced; shared with the
         element, so nothing may mutate it."""
         return self._ints
 
     @property
-    def coeffs(self) -> dict[Word, Fraction]:
-        """{word: Fraction}, built from the integer form once."""
+    def coeffs(self) -> dict:
+        """{key: Fraction}, built from the integer form once."""
         if self._coeffs is None:
             den, nums = self._ints
-            self._coeffs = {w: Fraction(v, den) for w, v in nums.items()}
+            self._coeffs = {k: Fraction(v, den) for k, v in nums.items()}
         return self._coeffs
 
     def is_zero(self) -> bool:
         return not self._ints[1]
+
+    def items(self) -> list[tuple]:
+        return sorted(self.coeffs.items())
+
+    def _add(self, other, sign: int):
+        if not self._peer(other):
+            return NotImplemented
+        (d1, n1), (d2, n2) = self._ints, other._ints
+        den = math.lcm(d1, d2)
+        s1, s2 = den // d1, sign * (den // d2)
+        out = {k: v * s1 for k, v in n1.items()}
+        for k, v in n2.items():
+            out[k] = out.get(k, 0) + v * s2
+        return self._from_ints(*self._space(), den, {k: v for k, v in out.items() if v})
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        den, nums = self._ints
+        a = scalar.numerator
+        nums = {k: v * a for k, v in nums.items()} if a else {}
+        return self._from_ints(*self._space(), den * scalar.denominator, nums)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._space() != self._space():
+            return False
+        (d1, n1), (d2, n2) = self._ints, other._ints
+        # n1[k]/d1 == n2[k]/d2 at every k, cross-multiplied
+        return n1.keys() == n2.keys() and all(v * d2 == n2[k] * d1 for k, v in n1.items())
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.coeffs.items())))
+
+    def _zero_text(self) -> str:
+        return "0"
+
+    def __repr__(self):
+        if self._text is None:
+            den, nums = self._ints
+            key_str = self._key_str
+            self._text = " + ".join(f"({_fraction_str(nums[k], den)})*{key_str(k)}" for k in sorted(nums)) or self._zero_text()
+        return self._text
+
+
+class FreeElement(IntegerForm):
+    """Finitely supported rational combination of words of one grade, an
+    integer form keyed by words."""
+
+    __slots__ = ()
+
+    _key_str = staticmethod(word_str)
+
+    @classmethod
+    def from_word(cls, word: Word, coeff: Fraction | int = 1) -> "FreeElement":
+        return cls._from_ints(coeff.denominator, {word: coeff.numerator} if coeff else {})
 
     def grade(self) -> tuple[int, int] | None:
         grades = {word_grade(w) for w in self._ints[1]}
@@ -159,50 +237,10 @@ class FreeElement:
             raise ValueError("element mixes grades")
         return grades.pop() if grades else None
 
-    def items(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        (d1, n1), (d2, n2) = self._ints, other._ints
-        den = math.lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
-        out = {w: v * s1 for w, v in n1.items()}
-        for w, v in n2.items():
-            out[w] = out.get(w, 0) + v * s2
-        return FreeElement._from_ints(den, {w: v for w, v in out.items() if v})
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "FreeElement":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        den, nums = self._ints
-        a = scalar.numerator
-        return FreeElement._from_ints(den * scalar.denominator, {w: v * a for w, v in nums.items()} if a else {})
-
-    __rmul__ = __mul__
-
     def framed(self, left: Word, right: Word) -> "FreeElement":
         """left * self * right with words acting by concatenation."""
         den, nums = self._ints
         return FreeElement._from_ints(den, {left + w + right: v for w, v in nums.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        (d1, n1), (d2, n2) = self._ints, other._ints
-        # n1[w]/d1 == n2[w]/d2 at every w, cross-multiplied
-        return n1.keys() == n2.keys() and all(v * d2 == n2[w] * d1 for w, v in n1.items())
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if self._text is None:
-            den, nums = self._ints
-            self._text = " + ".join(f"({_fraction_str(nums[w], den)})*{word_str(w)}" for w in sorted(nums)) or "0"
-        return self._text
 
 
 def serre_element(which: int, cartan: CartanData) -> FreeElement:

@@ -4,14 +4,15 @@ Both targets are generated by f1, f2 with [f1, f2] = h.  In target "H" the
 bracket h is central (Heisenberg); in target "L" it acts by [h, f1] = f1
 and [h, f2] = -f2.  Writing e = 0 in "H" and e = 1 in "L", both obey
 h f1 = f1 (h+e) and h f2 = f2 (h-e).  Elements live on the ordered monomial
-basis f2^a f1^b h^c and hold their value as an integer form: one positive
-denominator and an integer numerator per monomial.  Their `coeffs`, a dict
-of Fractions, is built only when first read.  Two monomials multiply by one
-closed form, the same for both targets up to e, with no recursion.  The
-structure constants are integers, so every such product is integral and
-is memoized per process as integers; element products, sums and equality
-run on integers only.  A slow rewriting engine reduces the same
-products one adjacent swap at a time and doubles as an independent check.
+basis f2^a f1^b h^c: a `PBWElement` is the integer form of `freealg` (one
+positive denominator and an integer numerator per monomial, its Fraction
+`coeffs` built only when first read) in one target.  Two monomials
+multiply by one closed form, the same for both targets up to e, with no
+recursion.  The structure constants are integers, so every such product
+is integral and is memoized per process as integers; element products,
+sums and equality run on integers only.  A slow rewriting engine reduces
+the same products one adjacent swap at a time and doubles as an
+independent check.
 
 Free words project into a target through a per-process cache of word
 images keyed by (target, word): each image is built once, from its longest
@@ -31,7 +32,7 @@ import operator
 from fractions import Fraction
 
 from .cartan import CartanData
-from .freealg import FreeElement, _fraction_str
+from .freealg import FreeElement, IntegerForm
 
 Monomial = tuple[int, int, int]  # exponents of f2, f1, h
 
@@ -104,40 +105,33 @@ def _mono_str(key: Monomial) -> str:
     return text
 
 
-class PBWElement:
-    """Rational combination of ordered monomials f2^a f1^b h^c in one target.
+class PBWElement(IntegerForm):
+    """Rational combination of ordered monomials f2^a f1^b h^c in one target,
+    an integer form keyed by monomials.  Elements of two targets are never
+    equal, and adding or multiplying them raises ValueError."""
 
-    The value is held as an integer form (den, {monomial: numerator}) with
-    den > 0 and no zero numerator; `coeffs` is its Fraction dict, built the
-    first time it is read.  Arithmetic and equality read only the integer
-    form, which need not be reduced.
-    """
+    __slots__ = ("target",)
 
-    __slots__ = ("target", "_ints", "_coeffs")
+    _key_str = staticmethod(_mono_str)
 
     def __init__(self, target: str, coeffs: dict[Monomial, Fraction] | None = None):
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}")
         self.target = target
-        self._coeffs: dict[Monomial, Fraction] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c:
-                    self._coeffs[k] = c
-        den = math.lcm(*(c.denominator for c in self._coeffs.values()))
-        self._ints = (den, {k: c.numerator * (den // c.denominator) for k, c in self._coeffs.items()})
+        super().__init__(coeffs)
 
     @classmethod
     def _from_ints(cls, target: str, den: int, nums: dict[Monomial, int]) -> "PBWElement":
-        """The element sum(nums[k]/den * k), without building a Fraction; den
-        is positive and no numerator is zero.  `nums` is kept, not copied."""
-        elem = cls.__new__(cls)
+        """`IntegerForm._from_ints` in the given target."""
+        elem = super()._from_ints(den, nums)
         elem.target = target
-        elem._ints = (den, nums)
-        elem._coeffs = None
         return elem
+
+    def _space(self) -> tuple[str]:
+        return (self.target,)
+
+    def _zero_text(self) -> str:
+        return f"PBWElement({self.target}, 0)"
 
     @classmethod
     def one(cls, target: str) -> "PBWElement":
@@ -153,85 +147,19 @@ class PBWElement:
             raise ValueError(f"target must be one of {TARGETS}")
         return cls._from_ints(target, 1, {(0, power, 0) if letter == 1 else (power, 0, 0): 1})
 
-    def integer_form(self) -> tuple[int, dict[Monomial, int]]:
-        """(den, {monomial: numerator}), possibly unreduced; shared with the
-        element, so nothing may mutate it."""
-        return self._ints
-
-    @property
-    def coeffs(self) -> dict[Monomial, Fraction]:
-        """{monomial: Fraction}, built from the integer form once."""
-        if self._coeffs is None:
-            den, nums = self._ints
-            self._coeffs = {k: Fraction(v, den) for k, v in nums.items()}
-        return self._coeffs
-
-    def is_zero(self) -> bool:
-        return not self._ints[1]
-
-    def items(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.coeffs.items())
-
-    def _check(self, other: "PBWElement") -> None:
-        if self.target != other.target:
-            raise ValueError("mixed targets")
-
-    def __add__(self, other: "PBWElement") -> "PBWElement":
-        self._check(other)
-        (d1, n1), (d2, n2) = self._ints, other._ints
-        den = math.lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
-        out = {k: v * s1 for k, v in n1.items()}
-        for k, v in n2.items():
-            out[k] = out.get(k, 0) + v * s2
-        return PBWElement._from_ints(self.target, den, {k: v for k, v in out.items() if v})
-
-    def __sub__(self, other: "PBWElement") -> "PBWElement":
-        return self + (-1) * other
-
     def __mul__(self, other):
-        den, nums = self._ints
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return PBWElement._from_ints(self.target, 1, {})
-            a = other.numerator
-            return PBWElement._from_ints(self.target, den * other.denominator, {k: v * a for k, v in nums.items()})
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        self._check(other)
+        if not self._peer(other):
+            return super().__mul__(other)
         target = self.target
-        d2, n2 = other._ints
+        (d1, n1), (d2, n2) = self._ints, other._ints
         out: dict[Monomial, int] = {}
         get = out.get
-        for k1, v1 in nums.items():
+        for k1, v1 in n1.items():
             for k2, v2 in n2.items():
                 v12 = v1 * v2
                 for k, c in _mono_mul(k1, k2, target).items():
                     out[k] = get(k, 0) + v12 * c
-        return PBWElement._from_ints(target, den * d2, {k: v for k, v in out.items() if v})
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self * scalar
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        if self.target != other.target:
-            return False
-        (d1, n1), (d2, n2) = self._ints, other._ints
-        # n1[k]/d1 == n2[k]/d2 at every k, cross-multiplied
-        return n1.keys() == n2.keys() and all(v * d2 == n2[k] * d1 for k, v in n1.items())
-
-    def __hash__(self):
-        return hash((self.target, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"PBWElement({self.target}, 0)"
-        den, nums = self._ints
-        return " + ".join(f"({_fraction_str(nums[k], den)})*{_mono_str(k)}" for k in sorted(nums))
+        return PBWElement._from_ints(target, d1 * d2, {k: v for k, v in out.items() if v})
 
 
 # --- independent route: step-by-step rewriting -----------------------------

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 from rank2verma import pbw
 from rank2verma.cartan import CartanData
-from rank2verma.freealg import FreeElement, serre_element
+from rank2verma.freealg import FreeElement, serre_element, words_of_grade
 from rank2verma.pbw import (
     PBWElement,
     factor_shift_identities,
@@ -379,19 +380,30 @@ def _random_element(rng, tg, size=4, top=2):
     return PBWElement(tg, {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in rng.sample(keys, size)})
 
 
-@pytest.mark.parametrize("tg", ["H", "L"])
+def _element_kind(tg):
+    """(keys, element from a Fraction dict, element from an integer form,
+    zero text) for PBW elements in target tg, or for free elements."""
+    if tg == "free":
+        return words_of_grade(3, 3), FreeElement, FreeElement._from_ints, "0"
+    keys = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    return (keys, lambda coeffs=None: PBWElement(tg, coeffs),
+            lambda den, nums: PBWElement._from_ints(tg, den, nums), f"PBWElement({tg}, 0)")
+
+
+@pytest.mark.parametrize("tg", ["H", "L", "free"])
 def test_element_integer_form_contract(tg):
     # an element built from Fractions and one built from an unreduced integer
     # form are the same element in every public reading
+    all_keys, make, from_ints, zero_text = _element_kind(tg)
     rng = random.Random(31)
     for _ in range(10):
-        keys = rng.sample([(a, b, c) for a in range(3) for b in range(3) for c in range(3)], 5)
+        keys = rng.sample(all_keys, 5)
         coeffs = {k: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for k in keys}
-        plain = PBWElement(tg, coeffs)
+        plain = make(coeffs)
         lcm = math.lcm(*(c.denominator for c in coeffs.values()))
         assert plain.integer_form() == (lcm, {k: int(c * lcm) for k, c in coeffs.items()})
         den = 3 * lcm
-        formed = PBWElement._from_ints(tg, den, {k: int(c * den) for k, c in coeffs.items()})
+        formed = from_ints(den, {k: int(c * den) for k, c in coeffs.items()})
         assert formed.integer_form()[0] == den
         assert formed == plain and plain == formed and hash(formed) == hash(plain)
         assert repr(formed) == repr(plain)
@@ -400,13 +412,34 @@ def test_element_integer_form_contract(tg):
         assert not formed.is_zero()
         # one numerator off by one, or the same numerators over another den
         k = keys[rng.randrange(5)]
-        off = PBWElement._from_ints(tg, den, {**formed.integer_form()[1], k: int(coeffs[k] * den) + 1})
+        off = from_ints(den, {**formed.integer_form()[1], k: int(coeffs[k] * den) + 1})
         assert off != plain and plain != off
-        assert PBWElement._from_ints(tg, den + 1, formed.integer_form()[1]) != plain
-    zero = PBWElement._from_ints(tg, 5, {})
-    assert zero.is_zero() and zero == PBWElement(tg) and hash(zero) == hash(PBWElement(tg))
-    assert repr(zero) == repr(PBWElement(tg)) == f"PBWElement({tg}, 0)"
+        assert from_ints(den + 1, formed.integer_form()[1]) != plain
+    zero = from_ints(5, {})
+    assert zero.is_zero() and zero == make() and hash(zero) == hash(make())
+    assert repr(zero) == repr(make()) == zero_text
     assert zero.coeffs == {} and zero.items() == []
+
+
+def test_mixed_element_kinds_do_not_combine():
+    # a free and a PBW element share the integer form but not their keys:
+    # adding or multiplying them, or adding an int, is a TypeError, and they
+    # are never equal; two PBW targets still raise ValueError
+    free = FreeElement.from_word((1, 2))
+    h, l = PBWElement.generator(1, "H"), PBWElement.generator(1, "L")
+    for x, y in [(free, h), (h, free), (free, 1), (1, free), (h, 1)]:
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(x, y)
+    for x, y in [(free, h), (h, free), (free, free), (free, "2"), (h, "2")]:
+        with pytest.raises(TypeError):
+            x * y
+    assert free != h and h != free and free != 1 and h != 1
+    assert free == FreeElement({(1, 2): 1}) and 2 * free == free + free and 2 * h == h + h
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="mixed targets"):
+            op(h, l)
+    assert h != l and PBWElement("H") != PBWElement("L")
 
 
 @pytest.mark.parametrize("tg", ["H", "L"])
