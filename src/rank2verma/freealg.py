@@ -12,11 +12,12 @@ elimination of integer rows.  Quotient bases and reductions are read off
 the reduced echelon form with each row led at its lowest column; a
 reduction runs in ints and only its result is in Fractions.  Kernels take
 only the forward phase, with each row led at its highest column (far fewer
-steps on e-action matrices), and back-solve each free column in ints; the
-few vectors this gives are brought to the lowest-lead normalization by the
-full form, and are returned in integer form together with the rows that
-led the pivots, which a caller may solve on alone at a later weight.  Pivot
-sets are canonical, so all of these are deterministic and exact.
+steps on e-action matrices), and solve each free column entry by entry as
+reduced integer pairs; a single vector is scaled to its normal form
+directly, several go through the full form.  They are returned in integer
+form together with the rows that led the pivots, which a caller may solve
+on alone at a later weight.  Pivot sets are canonical, so all of these are
+deterministic and exact, whatever the order and scale of the input rows.
 Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
 blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
 environment variable.
@@ -141,14 +142,15 @@ class IntegerForm:
     def _space(self) -> tuple:
         return ()
 
-    def _peer(self, other) -> bool:
-        """Whether other is an operand of this element's class; one in
-        another space raises ValueError."""
+    def _peer(self, other) -> tuple | None:
+        """This element's `_space` when other is an operand of its class,
+        None otherwise; one in another space raises ValueError."""
         if type(other) is not type(self):
-            return False
-        if other._space() != self._space():
+            return None
+        space = self._space()
+        if other._space() != space:
             raise ValueError("mixed targets")
-        return True
+        return space
 
     def integer_form(self) -> tuple[int, dict]:
         """(den, {key: numerator}), possibly unreduced; shared with the
@@ -170,7 +172,8 @@ class IntegerForm:
         return sorted(self.coeffs.items())
 
     def _add(self, other, sign: int):
-        if not self._peer(other):
+        space = self._peer(other)
+        if space is None:
             return NotImplemented
         (d1, n1), (d2, n2) = self._ints, other._ints
         den = math.lcm(d1, d2)
@@ -178,7 +181,7 @@ class IntegerForm:
         out = {k: v * s1 for k, v in n1.items()}
         for k, v in n2.items():
             out[k] = out.get(k, 0) + v * s2
-        return self._from_ints(*self._space(), den, {k: v for k, v in out.items() if v})
+        return self._from_ints(*space, den, {k: v for k, v in out.items() if v})
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -288,25 +291,25 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
     return _primitive(out) if out else out
 
 
-def _forward(rows) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
-    """Row echelon form of sparse integer rows, fraction-free, and for each
-    lead the index of the input row stored there.
+def _forward(rows, lead_of=min) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """Row echelon form of sparse integer rows, fraction-free, each row led
+    at the column `lead_of` picks (min or max), and for each lead the index
+    of the input row stored there.
 
     Rows stay integer: each step cross-multiplies two rows so that one
     column cancels, then divides out the content (integer-preserving
     elimination in the sense of Bareiss 1968, with the content in place of
     his exact divisor).  Rows go in sparsest first, which keeps fill-in
-    down; a row is eliminated at its lowest column while that column leads
-    a stored row, and is stored under it as {lead: primitive integer row}
-    otherwise, or dropped when it vanishes.  A stored row is its input row
-    less earlier stored rows, so the input rows stored are independent over
-    Q and span the rest.
+    down; a row is eliminated at its lead while that column leads a stored
+    row, and is stored under it otherwise, or dropped when it vanishes.  A
+    stored row is its input row less earlier stored rows, so the input rows
+    stored are independent over Q and span the rest.
     """
     pivots: dict[int, dict[int, int]] = {}
     origin: dict[int, int] = {}
     for k, row in sorted(enumerate(rows), key=lambda kr: len(kr[1])):
         while row:
-            lead = min(row)
+            lead = lead_of(row)
             prow = pivots.get(lead)
             if prow is None:
                 pivots[lead] = row
@@ -316,17 +319,19 @@ def _forward(rows) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     return pivots, origin
 
 
-def _echelon(rows) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form: `_forward`, then, from the highest lead
-    down, each stored row cleared at the other leads.  Each row is its
-    lead's reduced row echelon row up to a scalar, so the leads (the pivot
-    columns) and everything read off the rows do not depend on row order.
+def _echelon(rows, lead_of=min) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form: `_forward`, then each stored row cleared at
+    the other leads, from the last lead the rows run towards (the highest
+    down when rows are led at their lowest column, the lowest up for the
+    highest).  Each row is its lead's reduced row echelon row up to a
+    scalar, so the leads (the pivot columns) and everything read off the
+    rows do not depend on row order.
     """
-    pivots = _forward(rows)[0]
-    for lead in sorted(pivots, reverse=True):
+    pivots = _forward(rows, lead_of)[0]
+    for lead in sorted(pivots, reverse=lead_of is min):
         row = pivots[lead]
-        # the rows led by higher columns are already cleared, so removing
-        # one of their leads here brings in no other lead
+        # the rows led by the columns this row holds are already cleared,
+        # so removing one of their leads here brings in no other lead
         for col in [j for j in row if j != lead and j in pivots]:
             row = _eliminate(row, pivots[col], col)
         pivots[lead] = row
@@ -345,39 +350,51 @@ def kernel_basis(rows: list[dict[int, int]], ncols: int) -> tuple[list[tuple[int
 
     The free columns are those of the reduced echelon form with rows led
     at their lowest column, so each basis vector ends at its free column.
-    The elimination leads each row at its highest column instead, by
-    feeding `_forward` the columns relabelled j -> ncols - 1 - j (far fewer
-    steps on e-action matrices), and each free column is back-substituted
-    through its rows in ints.  `_echelon`, relabelled the same way, brings
-    those few vectors to the normalization above: each led at its highest
-    column and scaled to lead 1.
+    The elimination leads each row at its highest column instead (far
+    fewer steps on e-action matrices), and solves each of its own free
+    columns up through the rows led above it, one reduced integer pair per
+    entry, put over their lcm at the end.  One such vector is scaled to 1
+    at its highest column; several go through `_echelon` led at their
+    highest columns, and each row is scaled to lead 1.  That normal form
+    depends only on the kernel, so not on the order or scale of the rows.
     """
-    last = ncols - 1
-    pivots, origin = _forward([{last - j: v for j, v in _primitive(row).items()} for row in rows])
+    pivots, origin = _forward(rows, max)
+    leads = sorted(pivots)
     kernel = []
     for free in (j for j in range(ncols) if j not in pivots):
-        # 1 at the free column, 0 at the others, and from the highest lead
-        # down each lead below it solved from its row, kept integral
-        vec = [0] * ncols
-        vec[free] = 1
-        for lead in sorted((j for j in pivots if j < free), reverse=True):
+        # 1 at the free column, 0 at the other free columns, and each lead
+        # above it, lowest first, solved from its row as a reduced fraction
+        x = {free: (1, 1)}
+        for lead in leads:
+            if lead < free:
+                continue
             prow = pivots[lead]
-            s = sum(v * vec[j] for j, v in prow.items())
-            if s:
-                d = prow[lead]
-                g = math.gcd(s, d)
-                if g != d:
-                    vec[lead:free + 1] = [d // g * v for v in vec[lead:free + 1]]
-                vec[lead] = -s // g
-        kernel.append(_primitive({j: v for j, v in enumerate(vec) if v}))
+            num, den = 0, 1
+            for j, a in prow.items():
+                e = x.get(j)
+                if e is not None:
+                    n, d = e
+                    g = math.gcd(den, d)
+                    num = num * (d // g) + a * n * (den // g)
+                    den = den // g * d
+            if num:
+                num, den = -num, den * prow[lead]
+                g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                x[lead] = (num // g, den // g)
+        # over the lcm of the denominators the vector is primitive
+        den = math.lcm(*(d for _, d in x.values()))
+        kernel.append({j: n * (den // d) for j, (n, d) in x.items()})
+    if len(kernel) > 1:
+        kernel = [row for _, row in sorted(_echelon(kernel, max).items())]
     basis = []
-    for lead, row in sorted(_echelon(kernel).items(), reverse=True):
+    for row in kernel:
         # the row is primitive, so its lead is the least common denominator
-        sign = 1 if row[lead] > 0 else -1
+        top = row[max(row)]
+        sign = 1 if top > 0 else -1
         nums = [0] * ncols
         for j, v in row.items():
-            nums[last - j] = sign * v
-        basis.append((sign * row[lead], nums))
+            nums[j] = sign * v
+        basis.append((sign * top, nums))
     return basis, sorted(origin.values())
 
 

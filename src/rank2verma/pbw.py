@@ -123,7 +123,9 @@ class PBWElement(IntegerForm):
     @classmethod
     def _from_ints(cls, target: str, den: int, nums: dict[Monomial, int]) -> "PBWElement":
         """`IntegerForm._from_ints` in the given target."""
-        elem = super()._from_ints(den, nums)
+        elem = cls.__new__(cls)
+        elem._ints = (den, nums)
+        elem._coeffs = elem._text = None
         elem.target = target
         return elem
 
@@ -148,7 +150,7 @@ class PBWElement(IntegerForm):
         return cls._from_ints(target, 1, {(0, power, 0) if letter == 1 else (power, 0, 0): 1})
 
     def __mul__(self, other):
-        if not self._peer(other):
+        if self._peer(other) is None:
             return super().__mul__(other)
         target = self.target
         (d1, n1), (d2, n2) = self._ints, other._ints

@@ -9,7 +9,7 @@ integer multiples of m.  The product is multiplied out once per family and
 target with xi left free, as integer polynomials in xi on each monomial, and
 evaluated at each sample's xi.  end_to_end() checks the factorization
 against the brute-force singular vector, exactly, at generic rational t
-samples.
+samples, with the family's weight and xi kept as integer forms in t.
 
 The records here are immutable namedtuples: hashed and compared as their
 field tuples, so also iterable, orderable and equal to a plain tuple.
@@ -217,8 +217,7 @@ def expand_product(spec: ProductSpec, xi_value: Fraction, target: str) -> PBWEle
     its cached polynomial in xi evaluated at xi = X/D in ints, as
     D^degree times each polynomial, over den * D^degree."""
     den, degree, polys = _product_polynomial(spec, target)
-    xi = Fraction(xi_value)
-    X, D = xi.numerator, xi.denominator
+    X, D = xi_value.numerator, xi_value.denominator
     weights = [X**i * D ** (degree - i) for i in range(degree + 1)]
     out = {}
     for k, coeffs in polys.items():
@@ -262,9 +261,19 @@ class VerificationRecord(
     __slots__ = ()
 
 
-# (case, n, m, cartan) -> (symbolic weight, xi as a form in (m, t) or None,
-# product spec), built once per process; shared and never mutated
-_FAMILY_CACHE: dict[tuple[int, int, int, CartanData], tuple[WeightParam, AffineForm | None, ProductSpec]] = {}
+# (case, n, m, cartan) -> (whether the weight is shifted, lambda(h1),
+# lambda(h2) and xi (0 if none) at this m as `_in_t` integers, product
+# spec), built once per process; shared and never mutated
+_FAMILY_CACHE: dict[tuple[int, int, int, CartanData], tuple[bool, tuple[tuple[int, int, int], ...], ProductSpec]] = {}
+
+
+def _in_t(form: AffineForm | None, m: int) -> tuple[int, int, int]:
+    """The form at this m as integers (c, a, d), with value (c + a*t)/d."""
+    if form is None:
+        return (0, 0, 1)
+    c, a = form.c0 + form.cm * m, form.cv
+    d = math.lcm(c.denominator, a.denominator)
+    return (c.numerator * (d // c.denominator), a.numerator * (d // a.denominator), d)
 
 
 def default_targets(cartan: CartanData) -> list[str]:
@@ -323,15 +332,17 @@ def end_to_end(
 
     key = (case, n, m, cartan)
     if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = (case_weight(case, n, cartan), xi_of_mt(case, n, cartan),
-                              build_product(case, n, m, cartan))
-    weight, xi_form, spec = _FAMILY_CACHE[key]
+        weight = case_weight(case, n, cartan)
+        forms = (weight.x, weight.y, xi_of_mt(case, n, cartan))
+        _FAMILY_CACHE[key] = (weight.shifted, tuple(_in_t(f, m) for f in forms), build_product(case, n, m, cartan))
+    shifted, forms, spec = _FAMILY_CACHE[key]
 
     for t in t_samples:
         t = Fraction(t)
-        w_val = weight.at(m, t)
+        T, E = t.numerator, t.denominator
+        x, y, xi_val = [Fraction(c * E + a * T, d * E) for c, a, d in forms]
+        w_val = WeightParam(x, y, shifted)
         res = singular_vectors(w_val, root, m, cartan)
-        xi_val = xi_form.at(m, t) if xi_form is not None else Fraction(0)
         if res.kernel_dim != 1:
             for tg in live:
                 records.append(

@@ -201,6 +201,41 @@ def test_kernel_basis_matches_lowest_lead_reference():
     assert grade_dims == {1, 3}  # dim 3 at (2,2), case 2 or 4, m = 3, t = -3/2
 
 
+def test_kernel_basis_ignores_row_scale_and_empty_rows():
+    # the input rows go into the elimination as given, not made primitive:
+    # scaling each row by a nonzero integer of either sign and putting empty
+    # rows between them leaves the basis as it was, and the rows that lead
+    # are the same rows, at their new positions
+    rng = random.Random(909)
+    cases = []
+    for _ in range(300):
+        rank = rng.randint(0, 6)
+        nrows, ncols = rng.randint(max(rank, 1), 7), rng.randint(max(rank, 1), 7)
+        rows = _random_matrix(rng, nrows, ncols, rank, rng.choice((1.0, 0.4)))
+        cases.append(([_integer_row(enumerate(row)) for row in rows], ncols))
+    cd = CartanData(2, 2)
+    for case, m in ((2, 3), (4, 3), (1, 2), (3, 2)):
+        root = family_root(case, 1, cd)
+        g1, g2 = m * root.k1, m * root.k2
+        for t in (Fraction(1, 3), Fraction(-3, 2), random_rational(rng)):
+            rows = _e_action_rows(g1, g2, case_weight(case, 1, cd).at(m, t), cd)
+            cases.append((rows, graded_quotient(g1, g2, cd).dim))
+    dims = set()
+    for rows, ncols in cases:
+        basis, led = kernel_basis(rows, ncols)
+        dims.add(len(basis))
+        scaled, where = [], []
+        for row in rows:
+            while rng.random() < 0.3:
+                scaled.append({})
+            where.append(len(scaled))
+            c = rng.choice((-1, 1)) * rng.randint(1, 40)
+            scaled.append({j: c * v for j, v in row.items()})
+        scaled += [{}] * rng.randint(0, 2)
+        assert kernel_basis(scaled, ncols) == (basis, [where[k] for k in led])
+    assert {0, 1, 2, 3} <= dims
+
+
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (1, 4), (4, 1)])
 def test_quotient_dims_match_denominator_identity(p, q):
     # the free algebra modulo the two Serre relators is U(n^-) (Gabber-Kac),

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma import freealg
+from rank2verma import freealg, products
 from rank2verma.cartan import CartanData
-from rank2verma.gamma import AffineForm, GammaTable, random_rational
+from rank2verma.gamma import AffineForm, GammaTable, case_weight, random_rational, xi_of_mt
 from rank2verma.pbw import TARGETS, PBWElement, f_power, quadratic_factor
+from rank2verma.verma import SingularVectorResult
 from rank2verma.products import (
     alt_sum,
     build_product,
@@ -247,3 +248,37 @@ def test_end_to_end_grade_cap_skips_before_any_build(monkeypatch):
     recs = end_to_end(3, 2, 1, CartanData(2, 2), targets=["H"])
     assert [(r.status, r.reason) for r in recs] == [("skipped", "grade (2, 3) exceeds cap 4")]
     assert not freealg._QUOTIENT_CACHE
+
+
+def test_family_weight_and_xi_in_integers(monkeypatch):
+    # a family keeps lambda(h1), lambda(h2) and xi at each m as integers
+    # (c, a, d) with value (c + a*t)/d; at every t these give the affine
+    # forms' own values, and end_to_end records exactly those (here with
+    # the kernel stubbed out, so every sample reads nongeneric)
+    rng = random.Random(44)
+    ts = (Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 2), Fraction(1, 3), random_rational(rng))
+
+    def no_kernel(weight, root, m, cartan):
+        return SingularVectorResult(root, m, weight.to_unshifted(), None, None, 0, (), None)
+
+    monkeypatch.setattr(products, "singular_vectors", no_kernel)
+    checked = 0
+    for p, q in ((2, 2), (2, 3), (3, 3), (1, 4), (4, 1)):
+        cd = CartanData(p, q)
+        for case in (1, 2, 3, 4):
+            for n in (1, 2):
+                weight, xi = case_weight(case, n, cd), xi_of_mt(case, n, cd)
+                for m in (1, 2, 3):
+                    forms = [products._in_t(f, m) for f in (weight.x, weight.y, xi)]
+                    expected = [(weight.at(m, t), xi.at(m, t) if xi is not None else Fraction(0)) for t in ts]
+                    for t, (w, x) in zip(ts, expected):
+                        T, E = t.numerator, t.denominator
+                        assert [Fraction(c * E + a * T, d * E) for c, a, d in forms] == [w.x, w.y, x]
+                    try:
+                        recs = end_to_end(case, n, m, cd, targets=["H"], t_samples=ts, cap=10**6)
+                    except ValueError:  # a product build_product refuses
+                        continue
+                    assert [(r.t, r.weight, r.xi) for r in recs] == [(t, w, x) for t, (w, x) in zip(ts, expected)]
+                    assert [repr(r) for r in recs] == [repr(r._replace(weight=w, xi=x)) for r, (w, x) in zip(recs, expected)]
+                    checked += 1
+    assert checked > 100

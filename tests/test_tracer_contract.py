@@ -44,7 +44,8 @@ def test_tsweep_job_records_layer_spans():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert {"freealg.kernel_basis", "verma.singular_vectors", "pbw.project"} <= set(out["self_s"])
+    assert {"freealg.kernel_basis", "verma.singular_vectors", "pbw.project", "products.expand_product"} <= set(out["self_s"])
+    assert out["counts"]["factors_expanded"] > 0
     assert out["statuses"] and set(out["statuses"]) == {"ok"}
     # every projected vector is counted once per target, word by word
     assert out["counts"]["project_words"] == out["supports"] > 0

@@ -465,3 +465,87 @@ def test_results_independent_of_warm_caches():
         assert repr(warm) == repr(cold)
     finally:
         _clear_caches()
+
+
+@pytest.mark.parametrize("p,q", ORACLE_PAIRS)
+def test_warm_split_path_matches_all_rows(p, q, monkeypatch):
+    # once a grade's rows are split, each t builds only the chosen rows and
+    # checks the others without building them; at every family grade with
+    # g1 + g2 <= 9 that must give what eliminating every row gives, vectors
+    # and dimension, at seeded t, and at (2,2), cases 2 and 4 with m = 3,
+    # also at t = -3/2, where the kernel has dimension 3 and only the
+    # all-rows path can give it
+    cd = CartanData(p, q)
+    rng = random.Random(p * 100 + q)
+    calls = []
+
+    def recording(rows, ncols):
+        calls.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(verma, "kernel_basis", recording)
+    dims = set()
+    try:
+        _clear_caches()
+        for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
+            key = (p, q, g1, g2)
+            for case, n, m in families:
+                root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+                singular_vectors(weight.at(m, Fraction(1, 3)), root, m, cd)
+                chosen, rest = verma._INDEPENDENT_ROWS_CACHE[key]
+                ts = [random_rational(rng) for _ in range(2)] + [Fraction(rng.randint(-99, 99), rng.randint(1, 99))]
+                if (p, q) == (2, 2) and case in (2, 4) and m == 3:
+                    ts.append(Fraction(-3, 2))
+                for t in ts:
+                    calls.clear()
+                    res = singular_vectors(weight.at(m, t), root, m, cd)
+                    assert list(res.vectors) == _kernel_on_all_rows(weight.at(m, t), g1, g2, cd), (g1, g2, t)
+                    assert res.kernel_dim == len(res.vectors)
+                    # the chosen rows alone, then all rows only where they cannot answer
+                    nrows = len(chosen) + len(rest)
+                    assert calls == ([len(chosen)] if res.kernel_dim == 1 else [len(chosen), nrows]), (g1, g2, t)
+                    dims.add(res.kernel_dim)
+    finally:
+        _clear_caches()
+    assert 1 in dims
+    if (p, q) == (2, 2):
+        assert 3 in dims
+
+
+def test_warm_split_path_falls_back_when_a_rest_row_fails(monkeypatch):
+    # one row that the split leaves out is changed so that it no longer
+    # kills the vector of the chosen rows: the check must catch it, and the
+    # answer comes from all rows, where that row leaves no kernel
+    cd = CartanData(2, 2)
+    case, n, m = 2, 1, 3
+    root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+    g1, g2 = m * root.k1, m * root.k2
+    calls = []
+
+    def recording(rows, ncols):
+        calls.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(verma, "kernel_basis", recording)
+    try:
+        _clear_caches()
+        singular_vectors(weight.at(m, Fraction(1, 3)), root, m, cd)
+        key = (2, 2, g1, g2)
+        chosen, rest = verma._INDEPENDENT_ROWS_CACHE[key]
+        assert rest
+        w = weight.at(m, Fraction(-5, 7))
+        good = singular_vectors(w, root, m, cd)
+        assert good.kernel_dim == 1
+        col = graded_quotient(g1, g2, cd).basis_index[max(good.vector.coeffs)]
+        blocks = [(i, list(block)) for i, block in verma._E_ACTION_CACHE[key]]
+        k = rest[-1]
+        first = len(blocks[0][1])
+        i, block = blocks[0] if k < first else blocks[1]
+        block[k if k < first else k - first] = {col: (0, 1)}
+        monkeypatch.setitem(verma._E_ACTION_CACHE, key, blocks)
+        calls.clear()
+        res = singular_vectors(w, root, m, cd)
+        assert calls == [len(chosen), len(chosen) + len(rest)]
+        assert res.kernel_dim == 0 and list(res.vectors) == _kernel_on_all_rows(w, g1, g2, cd) == []
+    finally:
+        _clear_caches()
