@@ -3,7 +3,8 @@ their quadratic-factor projections.
 
 The public surface groups into four layers: root orbits and integer
 sequences (cartan), Gamma tables with exponent words and weights (gamma),
-the brute-force Verma oracle (freealg, verma), and the projection targets
+the brute-force Verma oracle (freealg, verma, and lines for its
+polynomial form along a reducibility line), and the projection targets
 with their factor products (pbw, products).
 """
 

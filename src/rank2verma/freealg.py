@@ -16,8 +16,10 @@ steps on e-action matrices), and solve each free column entry by entry as
 reduced integer pairs; a single vector is scaled to its normal form
 directly, several go through the full form.  They are returned in integer
 form together with the rows that led the pivots, which a caller may solve
-on alone at a later weight.  Pivot sets are canonical, so all of these are
-deterministic and exact, whatever the order and scale of the input rows.
+on alone at a later weight.  The same forward phase, with each row tagged
+by a column of its own, gives the signed maximal minors of n - 1 rows.
+Pivot sets are canonical, so all of these are deterministic and exact,
+whatever the order and scale of the input rows.
 Slices grow like binomial(g1+g2, g1); the grade cap keeps accidental
 blowups from hanging a run and can be raised through the VERMA_GRADE_CAP
 environment variable.
@@ -338,6 +340,33 @@ def _echelon(rows, lead_of=min) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def _solve_free(pivots: dict[int, dict[int, int]], leads: list[int], free: int) -> dict[int, int]:
+    """The kernel vector of `_forward` rows led at their highest column
+    with 1 at the free column and 0 at the other free columns.  Each lead
+    above the free column, lowest first, is solved from its row as a
+    reduced fraction; over the lcm of their denominators the vector is
+    primitive, so its free entry is that lcm."""
+    x = {free: (1, 1)}
+    for lead in leads:
+        if lead < free:
+            continue
+        prow = pivots[lead]
+        num, den = 0, 1
+        for j, a in prow.items():
+            e = x.get(j)
+            if e is not None:
+                n, d = e
+                g = math.gcd(den, d)
+                num = num * (d // g) + a * n * (den // g)
+                den = den // g * d
+        if num:
+            num, den = -num, den * prow[lead]
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            x[lead] = (num // g, den // g)
+    den = math.lcm(*(d for _, d in x.values()))
+    return {j: n * (den // d) for j, (n, d) in x.items()}
+
+
 def kernel_basis(rows: list[dict[int, int]], ncols: int) -> tuple[list[tuple[int, list[int]]], list[int]]:
     """Basis of the right kernel of the matrix of sparse {column: nonzero
     int} rows, and the indices, in increasing order, of the rows that lead
@@ -360,30 +389,7 @@ def kernel_basis(rows: list[dict[int, int]], ncols: int) -> tuple[list[tuple[int
     """
     pivots, origin = _forward(rows, max)
     leads = sorted(pivots)
-    kernel = []
-    for free in (j for j in range(ncols) if j not in pivots):
-        # 1 at the free column, 0 at the other free columns, and each lead
-        # above it, lowest first, solved from its row as a reduced fraction
-        x = {free: (1, 1)}
-        for lead in leads:
-            if lead < free:
-                continue
-            prow = pivots[lead]
-            num, den = 0, 1
-            for j, a in prow.items():
-                e = x.get(j)
-                if e is not None:
-                    n, d = e
-                    g = math.gcd(den, d)
-                    num = num * (d // g) + a * n * (den // g)
-                    den = den // g * d
-            if num:
-                num, den = -num, den * prow[lead]
-                g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-                x[lead] = (num // g, den // g)
-        # over the lcm of the denominators the vector is primitive
-        den = math.lcm(*(d for _, d in x.values()))
-        kernel.append({j: n * (den // d) for j, (n, d) in x.items()})
+    kernel = [_solve_free(pivots, leads, free) for free in range(ncols) if free not in pivots]
     if len(kernel) > 1:
         kernel = [row for _, row in sorted(_echelon(kernel, max).items())]
     basis = []
@@ -396,6 +402,49 @@ def kernel_basis(rows: list[dict[int, int]], ncols: int) -> tuple[list[tuple[int
             nums[j] = sign * v
         basis.append((sign * top, nums))
     return basis, sorted(origin.values())
+
+
+def maximal_minors(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """The signed maximal minors of ncols - 1 sparse integer rows,
+    w[j] = (-1)^j times the determinant of the rows without column j.
+
+    w is in the rows' right kernel, and nonzero exactly when they have rank
+    ncols - 1.  One `_forward`, led at the highest column as in
+    `kernel_basis`, gives it: row k carries a tag, a 1 at column -1 - k,
+    which no lead reaches while the row holds another entry, so a tag lead
+    means the rank is short.  Each stored row is c times its own input row
+    plus earlier stored rows, c its entry at its own tag.  Ordered by lead,
+    the stored rows are triangular off the free column, so that minor is
+    the product of the leads over the product of the c, signed by the
+    order of the leads; Cramer's rule scales the kernel vector solved at
+    the free column to w.
+    """
+    tagged = [{**row, -1 - k: 1} for k, row in enumerate(rows)]
+    pivots, origin = _forward(tagged, max)
+    if min(pivots, default=0) < 0:
+        return [0] * ncols
+    leads = sorted(pivots)
+    free = next(j for j in range(ncols) if j not in pivots)
+    # the determinant's sign: the parity of the permutation sending each
+    # input row to its lead's position
+    where = dict(zip(leads, range(len(leads))))
+    perm = {origin[lead]: where[lead] for lead in leads}
+    num, den, parity = (-1) ** free, 1, 0
+    for lead in leads:
+        row = pivots[lead]
+        num *= row[lead]
+        den *= row[-1 - origin[lead]]
+    for k in perm:
+        while perm[k] != k:
+            j = perm[k]
+            perm[k], perm[j] = perm[j], j
+            parity ^= 1
+    x = _solve_free(pivots, leads, free)
+    scale = (-num if parity else num) // (den * x[free])
+    w = [0] * ncols
+    for j, v in x.items():
+        w[j] = v * scale
+    return w
 
 
 class GradedQuotient:

@@ -235,7 +235,7 @@ class WeightParam(namedtuple("WeightParam", "x y shifted", defaults=(False,))):
     def to_unshifted(self) -> "WeightParam":
         if not self.shifted:
             return self
-        return WeightParam(self.x - 1, self.y - 1, False)
+        return WeightParam(_minus_one(self.x), _minus_one(self.y), False)
 
     def at(self, m: Rat, value: Rat) -> "WeightParam":
         """Evaluate affine-form coordinates at concrete (m, t-or-xi)."""
@@ -244,10 +244,22 @@ class WeightParam(namedtuple("WeightParam", "x y shifted", defaults=(False,))):
         return WeightParam(x, y, self.shifted)
 
 
+def _minus_one(c):
+    """c - 1, for a Fraction on its numerator and denominator."""
+    if isinstance(c, Fraction):
+        return Fraction(c.numerator - c.denominator, c.denominator)
+    return c - 1
+
+
 def kac_kazhdan(weight: WeightParam, root: RootVector, m: int, cartan: CartanData) -> bool:
     """Reducibility line for (root, m): in shifted coordinates,
     q*a*x + p*b*y = m*(q*a^2 - pq*a*b + p*b^2).
+
+    Rational coordinates are tested in ints by `line_parameter`; affine
+    forms as forms.
     """
+    if not (isinstance(weight.x, AffineForm) or isinstance(weight.y, AffineForm)):
+        return line_parameter(weight, root, m, cartan) is not None
     if m < 1:
         raise ValueError("m must be a positive integer")
     w = weight.to_shifted()
@@ -256,6 +268,47 @@ def kac_kazhdan(weight: WeightParam, root: RootVector, m: int, cartan: CartanDat
     lhs = q * a * w.x + p * b * w.y
     rhs = m * (q * a * a - p * q * a * b + p * b * b)
     return lhs - rhs == 0
+
+
+def _line_constant(root: RootVector, m: int, cartan: CartanData) -> int:
+    """c in the reducibility line of (root, m) written in unshifted
+    coordinates, q*a*x + p*b*y = c."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    p, q = cartan.p, cartan.q
+    a, b = root.k1, root.k2
+    return m * (q * a * a - p * q * a * b + p * b * b) - q * a - p * b
+
+
+def line_parameter(weight: WeightParam, root: RootVector, m: int, cartan: CartanData) -> tuple[int, int] | None:
+    """Where a weight with rational coordinates meets the reducibility line
+    of (root, m): the line parameter s as (S, E) with s = S/E and E > 0,
+    or None off the line.
+
+    s is the unshifted x, or the unshifted y on a line that fixes x (b = 0);
+    `line_coordinates` gives both coordinates in s.  Read on the
+    coordinates' integer numerators and denominators: no Fraction is built.
+    """
+    c = _line_constant(root, m, cartan)
+    x, y = weight.x, weight.y
+    X, Dx, Y, Dy = x.numerator, x.denominator, y.numerator, y.denominator
+    if weight.shifted:
+        X, Y = X - Dx, Y - Dy
+    a, b = root.k1, root.k2
+    if cartan.q * a * X * Dy + cartan.p * b * Y * Dx != c * Dx * Dy:
+        return None
+    return (X, Dx) if b else (Y, Dy)
+
+
+def line_coordinates(root: RootVector, m: int, cartan: CartanData) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The unshifted x and y along the reducibility line of (root, m), each
+    as integers (alpha, beta, gamma), gamma nonzero, with value
+    (alpha*s + beta)/gamma at the parameter s of `line_parameter`."""
+    c = _line_constant(root, m, cartan)
+    a, b = root.k1, root.k2
+    if b:
+        return (1, 0, 1), (-cartan.q * a, c, cartan.p * b)
+    return (0, c, cartan.q * a), (1, 0, 1)
 
 
 class TrajectoryStep(namedtuple("TrajectoryStep", "generator theta weight_after")):

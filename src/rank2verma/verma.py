@@ -17,6 +17,19 @@ that weight, and a check in ints that the others kill it.  Each vector,
 with coefficient 1 at its lexicographically largest word, is the kernel's
 integer form; the raising action also runs on integer forms.
 
+Along a reducibility line of (root, m) the weight has one free parameter
+s (`gamma.line_parameter`), and the matrix at grade m*root is a pencil
+M(s) = M0 + s*M1 whose kernel has a polynomial basis vector v(s).  Once
+the exact path has solved a line as many times as the grade's quotient
+dimension n, that line's form is built once (`lines.line_form`): D(s),
+the determinant of the grade's n - 1 chosen rows without their free
+column, and v(s) of least degree, both interpolated from the rows' maximal
+minors at s = 0..n-1 and kept only if every row, chosen or not, kills
+v(s) coefficient by coefficient.  A weight on a built line then costs two polynomial
+evaluations in ints: D(s) != 0 certifies that the kernel has dimension at
+most 1, so the nonzero v(s) spans it.  Where D(s) = 0, off the line, and
+on a line whose build was refused, the exact path answers as before.
+
 SingularVectorResult is an immutable namedtuple: hashed and compared as its
 field tuple, so also iterable, orderable and equal to a plain tuple.
 """
@@ -26,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .cartan import CartanData, RootVector
 from .freealg import (
@@ -34,7 +48,7 @@ from .freealg import (
     graded_quotient,
     kernel_basis,
 )
-from .gamma import WeightParam, kac_kazhdan
+from .gamma import WeightParam, line_coordinates, line_parameter
 
 
 def e_action(i: int, elem: FreeElement, weight: WeightParam, cartan: CartanData) -> FreeElement:
@@ -232,10 +246,91 @@ def _elements(kern: list[tuple[int, list[int]]], words: list) -> list[FreeElemen
     return [FreeElement._from_ints(den, {w: v for w, v in zip(words, nums) if v}) for den, nums in kern]
 
 
+# (p, q, a, b, m) -> the reducibility line of (root (a, b), m): the number
+# of exact solves on it so far, until that reaches its grade's quotient
+# dimension; then its polynomial form (D, v, d) from `_line_form`, or None
+# where the build was refused
+_LINE_CACHE: dict[tuple[int, int, int, int, int], int | tuple | None] = {}
+
+
+def _line_pencil(g1: int, g2: int, root: RootVector, m: int, cartan: CartanData) -> list[dict[int, tuple[int, int]]]:
+    """Every cached e-action row of grade (g1, g2), e1 block first, along
+    the reducibility line of (root, m), as {column: (A, B)}: on the line
+    z = (alpha*s + beta)/gamma (`line_coordinates`), so an entry a*z + b
+    times gamma is A*s + B with A = a*alpha and B = a*beta + b*gamma."""
+    coords = line_coordinates(root, m, cartan)
+    rows = []
+    for i, block in _e_action_blocks(g1, g2, cartan):
+        alpha, beta, gamma = coords[i - 1]
+        rows += [{col: (a * alpha, a * beta + b * gamma) for col, (a, b) in row.items()} for row in block]
+    return rows
+
+
+def _line_form(root: RootVector, m: int, cartan: CartanData) -> tuple | None:
+    """The kernel of grade m*root along the reducibility line of (root, m)
+    as polynomials in the line parameter s (`lines.line_form`), from the
+    rows that the grade's split chose; None where the build is refused.
+
+    `lines` is imported on the first build, so that a process that never
+    builds a line does not compile it.
+    """
+    from . import lines
+
+    g1, g2 = m * root.k1, m * root.k2
+    split = _INDEPENDENT_ROWS_CACHE.get((cartan.p, cartan.q, g1, g2))
+    if split is None:
+        return None
+    return lines.line_form(_line_pencil(g1, g2, root, m, cartan), split[0])
+
+
+def _line_kernel(form: tuple, S: int, E: int, ncols: int) -> list[tuple[int, list[int]]] | None:
+    """The kernel at the line parameter s = S/E from the line's polynomial
+    form, in `kernel_basis`'s normal form, or None where D(s) = 0 or v(s) = 0.
+
+    D(s) != 0 gives the chosen rows rank ncols - 1, so the kernel has
+    dimension at most 1, and every row kills v(s), so v(s) != 0 spans it.
+    Both are evaluated homogeneously, D(S/E)*E^deg in ints.
+    """
+    D, v, d = form
+    if not sum(map(mul, D, _weights(S, E, len(D) - 1))):
+        return None
+    weights = _weights(S, E, d)
+    nums = [0] * ncols
+    for j, poly in v.items():
+        nums[j] = sum(map(mul, poly, weights))
+    top = next((c for c in reversed(nums) if c), 0)
+    if not top:
+        return None
+    g = math.gcd(*nums)
+    g = g if top > 0 else -g
+    return [(top // g, [c // g for c in nums])]
+
+
+def _weights(S: int, E: int, deg: int) -> list[int]:
+    """S^k * E^(deg - k) for k = 0..deg."""
+    out = [1] * (deg + 1)
+    p = 1
+    for k in range(deg, -1, -1):
+        out[k] = p
+        p *= E
+    p = 1
+    for k in range(deg + 1):
+        out[k] *= p
+        p *= S
+    return out
+
+
 def singular_vectors(
     weight: WeightParam, root: RootVector, m: int, cartan: CartanData
 ) -> SingularVectorResult:
-    """All singular vectors at grade m*root for the given highest weight."""
+    """All singular vectors at grade m*root for the given highest weight.
+
+    On the reducibility line of (root, m), once the exact path has solved
+    the line as many times as the grade's quotient dimension, the line's
+    polynomial form is built once and answers wherever its certificate
+    holds; every other weight, and every point where D vanishes, is solved
+    exactly by `_kernel`.
+    """
     if m < 1:
         raise ValueError("m must be a positive integer")
     g1, g2 = m * root.k1, m * root.k2
@@ -243,8 +338,23 @@ def singular_vectors(
         raise ValueError(f"grade ({g1}, {g2}) is not a valid search grade")
     source = graded_quotient(g1, g2, cartan)
     unshifted = weight.to_unshifted()
+    point = line_parameter(weight, root, m, cartan)
+    kern = None
+    if point is not None:
+        key = (cartan.p, cartan.q, root.k1, root.k2, m)
+        form = _LINE_CACHE.get(key, 0)
+        if type(form) is int:
+            if form < source.dim:
+                _LINE_CACHE[key] = form + 1
+            else:
+                form = _LINE_CACHE[key] = _line_form(root, m, cartan)
+        if type(form) is tuple:
+            kern = _line_kernel(form, *point, source.dim)
     # each kernel vector has a 1 at its highest nonzero column: the largest word
-    vectors = _kernel(g1, g2, unshifted, cartan, source.basis_words)
+    if kern is not None:
+        vectors = _elements(kern, source.basis_words)
+    else:
+        vectors = _kernel(g1, g2, unshifted, cartan, source.basis_words)
     return SingularVectorResult(
         root=root,
         m=m,
@@ -253,7 +363,7 @@ def singular_vectors(
         quotient_dim=source.dim,
         kernel_dim=len(vectors),
         vectors=tuple(vectors),
-        on_line=kac_kazhdan(weight, root, m, cartan),
+        on_line=point is not None,
     )
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from rank2verma import freealg, pbw
+from rank2verma import freealg, pbw, verma
+from rank2verma.cartan import CartanData, family_root
 from rank2verma.cli import main
 
 
@@ -251,16 +252,25 @@ def test_verify_report_bytes_frozen(capsys):
 
 def test_verify_report_bytes_independent_of_warm_caches(capsys):
     # a different verify first leaves the quotient, projection and word
-    # string caches warm with other grades and words; the acceptance grid
-    # must still give the bytes pinned above
+    # string caches warm with other grades and words, and the acceptance
+    # grid at four other seeds solves each of its lines more often than
+    # its grade's quotient dimension (at most 19), so every line has built
+    # its polynomial form; the acceptance grid must still give the bytes
+    # pinned above
     pbw._PROJECTION_CACHE.clear()
     pbw._PROJECTION_ROWS.clear()
     freealg._WORD_STR_CACHE.clear()
+    verma._LINE_CACHE.clear()
     code, _, _ = run(capsys, ["verify", "--p", "2", "--q", "3", "--cases", "4,2", "--n", "1",
                               "--m", "1,2", "--seed", "3"])
     assert code == 0
-    code, out, err = run(capsys, ["verify", "--p", "2", "--q", "2", "--cases", "1,2,3,4",
-                                  "--n", "1,2", "--m", "1", "--seed", "7"])
+    grid = ["verify", "--p", "2", "--q", "2", "--cases", "1,2,3,4", "--n", "1,2", "--m", "1"]
+    for seed in range(1, 5):
+        assert run(capsys, grid + ["--seed", str(seed)])[0] == 0
+    cd = CartanData(2, 2)
+    roots = [family_root(case, n, cd) for case in (1, 2, 3, 4) for n in (1, 2)]
+    assert all(type(verma._LINE_CACHE[(2, 2, r.k1, r.k2, 1)]) is tuple for r in roots)
+    code, out, err = run(capsys, grid + ["--seed", "7"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "da8938c25162780913c68b4452a4eabb8f37bb42446e7d00834cd6bfc131c218"

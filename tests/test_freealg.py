@@ -15,6 +15,7 @@ from rank2verma.freealg import (
     check_grade,
     graded_quotient,
     kernel_basis,
+    maximal_minors,
     serre_element,
     serre_grade,
     word_grade,
@@ -277,6 +278,42 @@ def test_quotient_reduce():
     w = q.words[0]
     red = q.reduce(FreeElement.from_word(w))
     assert all(q.basis_words[q.basis_index[bw]] == bw for bw in red)
+
+
+
+def _determinant(rows):
+    """Determinant of a dense square matrix by Gaussian elimination over Q."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def test_maximal_minors_match_determinants():
+    # (-1)^j times the determinant without column j, for random sparse
+    # integer matrices of ncols - 1 rows, some with a row a multiple of
+    # another (all minors 0), and each row kills the vector
+    rng = random.Random(12)
+    for _ in range(400):
+        ncols = rng.randint(1, 7)
+        dense = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(ncols)] for _ in range(ncols - 1)]
+        if ncols > 2 and rng.random() < 0.2:
+            dense[1] = [-2 * v for v in dense[0]]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        w = maximal_minors(rows, ncols)
+        expected = [(-1) ** j * _determinant([row[:j] + row[j + 1 :] for row in dense]) for j in range(ncols)]
+        assert w == expected, dense
+        assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in dense)
 
 
 def test_quotient_cache():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,9 @@ from rank2verma.gamma import (
     case_weight,
     gamma,
     kac_kazhdan,
+    line_coordinates,
+    line_parameter,
+    random_rational,
 )
 
 SIX_PAIRS = [(2, 2), (2, 3), (3, 2), (3, 3), (1, 4), (4, 1)]
@@ -146,6 +150,39 @@ def test_case_weights_on_line_identically():
                 for m in (1, 2):
                     for t in GENERIC_T_SAMPLES[:3]:
                         assert kac_kazhdan(w.at(m, t), root, m, cd)
+
+
+def test_line_read_in_ints_matches_fractions():
+    # on and off each family line, shifted and not: line_parameter finds the
+    # weight on the line exactly where the line's Fraction equation holds,
+    # kac_kazhdan agrees, and line_coordinates at the parameter give back
+    # the unshifted weight; integer coordinates stay integers when unshifted
+    rng = random.Random(8)
+    for p, q in SIX_PAIRS:
+        cd = CartanData(p, q)
+        for case in (1, 2, 3, 4):
+            for n in (1, 2):
+                root = family_root(case, n, cd)
+                a, b = root.k1, root.k2
+                for m in (1, 2):
+                    rhs = m * (q * a * a - p * q * a * b + p * b * b)
+                    for t in (Fraction(1, 3), Fraction(-3, 2), Fraction(2), random_rational(rng)):
+                        on = case_weight(case, n, cd).at(m, t)
+                        for w in (on, on.to_unshifted(), WeightParam(on.x + Fraction(1, 7), on.y, True)):
+                            s = w.to_shifted()
+                            expected = q * a * s.x + p * b * s.y == rhs
+                            point = line_parameter(w, root, m, cd)
+                            assert (point is not None) == expected == kac_kazhdan(w, root, m, cd)
+                            if point is None:
+                                continue
+                            S, E = point
+                            u = w.to_unshifted()
+                            coords = [Fraction(al * S + be * E, ga * E) for al, be, ga in line_coordinates(root, m, cd)]
+                            assert coords == [u.x, u.y]
+    # root (1, 0) fixes x, so the parameter is y
+    w = WeightParam(2, 7, True)
+    assert w.to_unshifted() == (1, 6, False) and type(w.to_unshifted().x) is int
+    assert line_parameter(w, RootVector(1, 0), 2, CartanData(2, 2)) == (6, 1)
 
 
 def test_generic_samples_are_distinct_rationals():

@@ -187,7 +187,7 @@ def test_warm_job_fraction_budget():
         stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
         if name == "__new__" and path.endswith("fractions.py")
     )
-    assert 0 < built <= 70, built
+    assert 0 < built <= 24, built
     assert len(records) == 6 and text
     # the kernel vectors were rendered without their Fraction coefficients
     assert all(rec.vector._coeffs is None for rec in records)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma import freealg, pbw, products, verma
+from rank2verma import freealg, lines, pbw, products, verma
 from rank2verma.cartan import CartanData, RootVector, family_root
 from rank2verma.freealg import FreeElement, graded_quotient, kernel_basis, serre_element
-from rank2verma.gamma import WeightParam, case_weight, random_rational, xi_of_mt
+from rank2verma.gamma import WeightParam, case_weight, line_parameter, random_rational, xi_of_mt
 from rank2verma.pbw import project
 from rank2verma.products import build_product, expand_product
 from rank2verma.verma import (
@@ -278,6 +278,7 @@ def _clear_caches():
     freealg._QUOTIENT_CACHE.clear()
     verma._E_ACTION_CACHE.clear()
     verma._INDEPENDENT_ROWS_CACHE.clear()
+    verma._LINE_CACHE.clear()
     pbw._PROJECTION_CACHE.clear()
     pbw._PROJECTION_ROWS.clear()
     freealg._WORD_STR_CACHE.clear()
@@ -431,7 +432,9 @@ def test_results_independent_of_warm_caches():
     # (2,2) case 2, n = 1, m = 3 at t = 2/9, from cleared caches, then again
     # after other t values and other grades (whose quotients, e-action
     # blocks, word images, projection rows, word strings and factor
-    # products overlap) have warmed every cache; the reprs match too
+    # products overlap) have warmed every cache, and the line of this
+    # family has built its polynomial form, which then gives the warm
+    # answer; the reprs match too
     cd = CartanData(2, 2)
     root = family_root(2, 1, cd)
     weight = case_weight(2, 1, cd).at(3, Fraction(2, 9))
@@ -459,7 +462,11 @@ def test_results_independent_of_warm_caches():
                         project(v, tg)
                     form = xi_of_mt(case, n, cd)
                     expand_product(build_product(case, n, m, cd), form.at(m, t) if form else Fraction(0), tg)
+        key = _force_line_build(cd, 2, 1, 3, random.Random(9))
         assert products._PRODUCT_CACHE and pbw._PROJECTION_ROWS and freealg._WORD_STR_CACHE
+        form = verma._LINE_CACHE[key]
+        assert type(form) is tuple
+        assert verma._line_kernel(form, *line_parameter(weight, root, 3, cd), cold[0].quotient_dim) is not None
         warm = result()
         assert warm == cold
         assert repr(warm) == repr(cold)
@@ -474,7 +481,8 @@ def test_warm_split_path_matches_all_rows(p, q, monkeypatch):
     # g1 + g2 <= 9 that must give what eliminating every row gives, vectors
     # and dimension, at seeded t, and at (2,2), cases 2 and 4 with m = 3,
     # also at t = -3/2, where the kernel has dimension 3 and only the
-    # all-rows path can give it
+    # all-rows path can give it.  Every line's polynomial form is refused,
+    # so that no t leaves the split path for the line path
     cd = CartanData(p, q)
     rng = random.Random(p * 100 + q)
     calls = []
@@ -484,6 +492,7 @@ def test_warm_split_path_matches_all_rows(p, q, monkeypatch):
         return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(verma, "kernel_basis", recording)
+    monkeypatch.setattr(verma, "_line_form", lambda root, m, cartan: None)
     dims = set()
     try:
         _clear_caches()
@@ -547,5 +556,147 @@ def test_warm_split_path_falls_back_when_a_rest_row_fails(monkeypatch):
         res = singular_vectors(w, root, m, cd)
         assert calls == [len(chosen), len(chosen) + len(rest)]
         assert res.kernel_dim == 0 and list(res.vectors) == _kernel_on_all_rows(w, g1, g2, cd) == []
+    finally:
+        _clear_caches()
+
+
+def _force_line_build(cd, case, n, m, rng):
+    """Solve the family's reducibility line at fresh t until its
+    polynomial form is built or refused, which takes as many exact solves
+    as the grade's quotient dimension; returns the line's key."""
+    root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+    key = (cd.p, cd.q, root.k1, root.k2, m)
+    solves = 0
+    while type(verma._LINE_CACHE.get(key, 0)) is int:
+        singular_vectors(weight.at(m, Fraction(rng.randint(-99, 99), rng.randint(1, 99))), root, m, cd)
+        solves += 1
+    assert solves <= graded_quotient(m * root.k1, m * root.k2, cd).dim + 1
+    return key
+
+
+def _recording_kernel(monkeypatch):
+    calls = []
+
+    def recording(rows, ncols):
+        calls.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(verma, "kernel_basis", recording)
+    return calls
+
+
+@pytest.mark.parametrize("p,q", ORACLE_PAIRS)
+def test_line_path_matches_kernel_on_all_rows(p, q, monkeypatch):
+    # every family line with g1 + g2 <= 9 builds its polynomial form once
+    # it has been solved as many times as its grade's quotient dimension;
+    # then at 20 seeded t each answer equals what eliminating every row
+    # gives, vectors and dimension, and wherever D does not vanish it comes
+    # from the line with no kernel_basis call
+    cd = CartanData(p, q)
+    rng = random.Random(p * 1000 + q)
+    calls = _recording_kernel(monkeypatch)
+    answered = asked = 0
+    try:
+        _clear_caches()
+        for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
+            dim = graded_quotient(g1, g2, cd).dim
+            for case, n, m in families:
+                root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+                form = verma._LINE_CACHE[_force_line_build(cd, case, n, m, rng)]
+                assert type(form) is tuple, (g1, g2, case, n, m)
+                for k in range(20):
+                    t = random_rational(rng) if k % 4 == 0 else Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                    w = weight.at(m, t)
+                    calls.clear()
+                    res = singular_vectors(w, root, m, cd)
+                    assert list(res.vectors) == _kernel_on_all_rows(w, g1, g2, cd), (g1, g2, t)
+                    assert res.kernel_dim == len(res.vectors)
+                    by_line = verma._line_kernel(form, *line_parameter(w, root, m, cd), dim) is not None
+                    assert (calls == []) == by_line, (g1, g2, t)
+                    answered += by_line
+                    asked += 1
+    finally:
+        _clear_caches()
+    assert answered > 0.9 * asked
+
+
+def test_line_form_vanishes_at_the_dim3_point(monkeypatch):
+    # (2,2), case 2, n = 1, m = 3 at t = -3/2 also lies on other
+    # reducibility lines, and the kernel there has dimension 3: D vanishes,
+    # so the built line leaves the point to the exact path, and its
+    # records still read nongeneric with kernel dimension 3
+    cd = CartanData(2, 2)
+    root, weight = family_root(2, 1, cd), case_weight(2, 1, cd)
+    calls = _recording_kernel(monkeypatch)
+    try:
+        _clear_caches()
+        D, v, d = verma._LINE_CACHE[_force_line_build(cd, 2, 1, 3, random.Random(23))]
+        S, E = line_parameter(weight.at(3, Fraction(-3, 2)), root, 3, cd)
+        assert sum(c * S**k * E ** (len(D) - 1 - k) for k, c in enumerate(D)) == 0
+        calls.clear()
+        records = products.end_to_end(2, 1, 3, cd, t_samples=(Fraction(-3, 2),))
+        assert calls
+        assert [(r.status, r.kernel_dim) for r in records] == [("nongeneric", 3)] * 2
+    finally:
+        _clear_caches()
+
+
+def _refused_line_stays_exact(cd, case, n, m, calls):
+    """Force the line's build, require it refused, and check that each t
+    is then solved on the exact path with the answer of every row."""
+    root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+    g1, g2 = m * root.k1, m * root.k2
+    key = _force_line_build(cd, case, n, m, random.Random(31))
+    assert key in verma._LINE_CACHE and verma._LINE_CACHE[key] is None
+    for t in (Fraction(2, 9), Fraction(-5, 7), random_rational(random.Random(32))):
+        w = weight.at(m, t)
+        calls.clear()
+        res = singular_vectors(w, root, m, cd)
+        assert calls
+        assert res.kernel_dim == 1 and list(res.vectors) == _kernel_on_all_rows(w, g1, g2, cd)
+    assert verma._LINE_CACHE[key] is None
+
+
+def test_line_build_refuses_a_moved_coefficient(monkeypatch):
+    # v(s) with one coefficient moved by 1 leaves some row's product with
+    # it nonzero: the form is refused, and the line stays on the exact path
+    # with unchanged answers
+    real = lines.line_polynomials
+
+    def moved(chosen):
+        D, v, d = real(chosen)
+        v = dict(v)
+        j = max(v)
+        v[j] = [v[j][0] + 1] + v[j][1:]
+        return D, v, d
+
+    monkeypatch.setattr(lines, "line_polynomials", moved)
+    calls = _recording_kernel(monkeypatch)
+    try:
+        _clear_caches()
+        _refused_line_stays_exact(CartanData(2, 2), 2, 1, 3, calls)
+    finally:
+        _clear_caches()
+
+
+def test_line_build_refuses_rows_dependent_along_the_line(monkeypatch):
+    # the grade's chosen rows with the last one replaced by a copy of the
+    # first have rank n - 2 at every s, so D is identically 0: the form is
+    # refused, and every t is solved on all rows with unchanged answers
+    cd = CartanData(2, 2)
+    case, n, m = 2, 1, 3
+    root = family_root(case, n, cd)
+    key = (2, 2, m * root.k1, m * root.k2)
+    calls = _recording_kernel(monkeypatch)
+    try:
+        _clear_caches()
+        singular_vectors(case_weight(case, n, cd).at(m, Fraction(1, 3)), root, m, cd)
+        chosen, rest = verma._INDEPENDENT_ROWS_CACHE[key]
+        dependent = chosen[:-1] + chosen[:1]
+        pencil = verma._line_pencil(*key[2:], root, m, cd)
+        assert lines.line_polynomials([pencil[k] for k in chosen]) is not None
+        assert lines.line_polynomials([pencil[k] for k in dependent]) is None
+        verma._INDEPENDENT_ROWS_CACHE[key] = (dependent, rest)
+        _refused_line_stays_exact(cd, case, n, m, calls)
     finally:
         _clear_caches()
