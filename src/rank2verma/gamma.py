@@ -235,7 +235,7 @@ class WeightParam(namedtuple("WeightParam", "x y shifted", defaults=(False,))):
     def to_unshifted(self) -> "WeightParam":
         if not self.shifted:
             return self
-        return WeightParam(_minus_one(self.x), _minus_one(self.y), False)
+        return WeightParam(self.x - 1, self.y - 1, False)
 
     def at(self, m: Rat, value: Rat) -> "WeightParam":
         """Evaluate affine-form coordinates at concrete (m, t-or-xi)."""
@@ -244,30 +244,14 @@ class WeightParam(namedtuple("WeightParam", "x y shifted", defaults=(False,))):
         return WeightParam(x, y, self.shifted)
 
 
-def _minus_one(c):
-    """c - 1, for a Fraction on its numerator and denominator."""
-    if isinstance(c, Fraction):
-        return Fraction(c.numerator - c.denominator, c.denominator)
-    return c - 1
-
-
 def kac_kazhdan(weight: WeightParam, root: RootVector, m: int, cartan: CartanData) -> bool:
     """Reducibility line for (root, m): in shifted coordinates,
-    q*a*x + p*b*y = m*(q*a^2 - pq*a*b + p*b^2).
-
-    Rational coordinates are tested in ints by `line_parameter`; affine
-    forms as forms.
+    q*a*x + p*b*y = m*(q*a^2 - pq*a*b + p*b^2), so in unshifted ones
+    q*a*x + p*b*y = `_line_constant`.
     """
-    if not (isinstance(weight.x, AffineForm) or isinstance(weight.y, AffineForm)):
-        return line_parameter(weight, root, m, cartan) is not None
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    w = weight.to_shifted()
-    p, q = cartan.p, cartan.q
-    a, b = root.k1, root.k2
-    lhs = q * a * w.x + p * b * w.y
-    rhs = m * (q * a * a - p * q * a * b + p * b * b)
-    return lhs - rhs == 0
+    c = _line_constant(root, m, cartan)
+    w = weight.to_unshifted()
+    return cartan.q * root.k1 * w.x + cartan.p * root.k2 * w.y - c == 0
 
 
 def _line_constant(root: RootVector, m: int, cartan: CartanData) -> int:

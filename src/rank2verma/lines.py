@@ -11,6 +11,10 @@ v(s) coefficient by coefficient.  Everything is in integers: the rows'
 maximal minors at s = 0..n-1 (`freealg.maximal_minors`), Newton
 interpolation, and a primitive pseudo-remainder gcd.
 
+`kernel_at` answers a weight on a built line: D(s) != 0 certifies that
+the kernel has dimension at most 1, and the nonzero v(s) spans it.  A form
+is a tuple that `verma` only stores and hands back.
+
 `verma` imports this module on a line's first build, so that a process
 that never builds one, a cold job most of all, does not compile it.
 """
@@ -32,6 +36,30 @@ def line_form(pencil: list[dict[int, tuple[int, int]]], chosen: list[int]) -> tu
     if form is None or not all(_kills_identically(row, form) for row in pencil):
         return None
     return form
+
+
+def kernel_at(form: tuple, S: int, E: int, ncols: int) -> list[tuple[int, list[int]]] | None:
+    """The kernel at the line parameter s = S/E, E > 0, from a kept form,
+    in `freealg.kernel_basis`'s normal form, or None where D(s) = 0 or
+    v(s) = 0.
+
+    D(s) != 0 gives the chosen rows rank ncols - 1, so the kernel has
+    dimension at most 1, and every row kills v(s), so v(s) != 0 spans it.
+    Both are evaluated homogeneously in ints: v's entries all to degree d,
+    so their common factor E^d goes with the normal form's gcd.
+    """
+    D, v, _ = form
+    if not _poly_at(D, S, E):
+        return None
+    nums = [0] * ncols
+    for j, poly in v.items():
+        nums[j] = _poly_at(poly, S, E)
+    top = next((c for c in reversed(nums) if c), 0)
+    if not top:
+        return None
+    g = math.gcd(*nums)
+    g = g if top > 0 else -g
+    return [(top // g, [c // g for c in nums])]
 
 
 def line_polynomials(chosen: list[dict[int, tuple[int, int]]]) -> tuple | None:
@@ -116,10 +144,12 @@ def _interpolate(xs, ys: list[int]) -> list[int] | None:
     return poly
 
 
-def _poly_at(poly: list[int], s: int) -> int:
-    acc = 0
+def _poly_at(poly: list[int], S: int, E: int = 1) -> int:
+    """poly(S/E) * E^(len(poly) - 1), by Horner's rule in ints."""
+    acc, e = 0, 1
     for c in reversed(poly):
-        acc = acc * s + c
+        acc = acc * S + c * e
+        e *= E
     return acc
 
 

@@ -25,9 +25,9 @@ dimension n, that line's form is built once (`lines.line_form`): D(s),
 the determinant of the grade's n - 1 chosen rows without their free
 column, and v(s) of least degree, both interpolated from the rows' maximal
 minors at s = 0..n-1 and kept only if every row, chosen or not, kills
-v(s) coefficient by coefficient.  A weight on a built line then costs two polynomial
-evaluations in ints: D(s) != 0 certifies that the kernel has dimension at
-most 1, so the nonzero v(s) spans it.  Where D(s) = 0, off the line, and
+v(s) coefficient by coefficient.  A weight on a built line then costs two
+polynomial evaluations in ints (`lines.kernel_at`): D(s) != 0 certifies
+that the kernel has dimension at most 1, so the nonzero v(s) spans it.  Where D(s) = 0, off the line, and
 on a line whose build was refused, the exact path answers as before.
 
 SingularVectorResult is an immutable namedtuple: hashed and compared as its
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
 
 from .cartan import CartanData, RootVector
 from .freealg import (
@@ -248,8 +247,8 @@ def _elements(kern: list[tuple[int, list[int]]], words: list) -> list[FreeElemen
 
 # (p, q, a, b, m) -> the reducibility line of (root (a, b), m): the number
 # of exact solves on it so far, until that reaches its grade's quotient
-# dimension; then its polynomial form (D, v, d) from `_line_form`, or None
-# where the build was refused
+# dimension; then its polynomial form from `_line_form`, a tuple that only
+# `lines` reads, or None where the build was refused
 _LINE_CACHE: dict[tuple[int, int, int, int, int], int | tuple | None] = {}
 
 
@@ -283,43 +282,6 @@ def _line_form(root: RootVector, m: int, cartan: CartanData) -> tuple | None:
     return lines.line_form(_line_pencil(g1, g2, root, m, cartan), split[0])
 
 
-def _line_kernel(form: tuple, S: int, E: int, ncols: int) -> list[tuple[int, list[int]]] | None:
-    """The kernel at the line parameter s = S/E from the line's polynomial
-    form, in `kernel_basis`'s normal form, or None where D(s) = 0 or v(s) = 0.
-
-    D(s) != 0 gives the chosen rows rank ncols - 1, so the kernel has
-    dimension at most 1, and every row kills v(s), so v(s) != 0 spans it.
-    Both are evaluated homogeneously, D(S/E)*E^deg in ints.
-    """
-    D, v, d = form
-    if not sum(map(mul, D, _weights(S, E, len(D) - 1))):
-        return None
-    weights = _weights(S, E, d)
-    nums = [0] * ncols
-    for j, poly in v.items():
-        nums[j] = sum(map(mul, poly, weights))
-    top = next((c for c in reversed(nums) if c), 0)
-    if not top:
-        return None
-    g = math.gcd(*nums)
-    g = g if top > 0 else -g
-    return [(top // g, [c // g for c in nums])]
-
-
-def _weights(S: int, E: int, deg: int) -> list[int]:
-    """S^k * E^(deg - k) for k = 0..deg."""
-    out = [1] * (deg + 1)
-    p = 1
-    for k in range(deg, -1, -1):
-        out[k] = p
-        p *= E
-    p = 1
-    for k in range(deg + 1):
-        out[k] *= p
-        p *= S
-    return out
-
-
 def singular_vectors(
     weight: WeightParam, root: RootVector, m: int, cartan: CartanData
 ) -> SingularVectorResult:
@@ -349,7 +311,9 @@ def singular_vectors(
             else:
                 form = _LINE_CACHE[key] = _line_form(root, m, cartan)
         if type(form) is tuple:
-            kern = _line_kernel(form, *point, source.dim)
+            from . import lines
+
+            kern = lines.kernel_at(form, *point, source.dim)
     # each kernel vector has a 1 at its highest nonzero column: the largest word
     if kern is not None:
         vectors = _elements(kern, source.basis_words)
