@@ -226,9 +226,14 @@ class IntegerForm:
 
 class FreeElement(IntegerForm):
     """Finitely supported rational combination of words of one grade, an
-    integer form keyed by words."""
+    integer form keyed by words.
 
-    __slots__ = ()
+    `_line` is set only on a kernel vector answered by a built reducibility
+    line (`lines.kernel_at`): the line's form at that point, which
+    `pbw.project` reads in place of the vector's words.  Arithmetic results
+    carry none."""
+
+    __slots__ = ("_line",)
 
     _key_str = staticmethod(word_str)
 

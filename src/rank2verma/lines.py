@@ -12,8 +12,13 @@ maximal minors at s = 0..n-1 (`freealg.maximal_minors`), Newton
 interpolation, and a primitive pseudo-remainder gcd.
 
 `kernel_at` answers a weight on a built line: D(s) != 0 certifies that
-the kernel has dimension at most 1, and the nonzero v(s) spans it.  A form
-is a tuple that `verma` only stores and hands back.
+the kernel has dimension at most 1, and the nonzero v(s) spans it.  The
+projection into a target is linear, so v(s) projects to polynomials P(s),
+one per output monomial; `_projected` builds them once per form and target
+from `pbw.project` of v's coefficient vectors, and the vector `kernel_at`
+returns carries the point (`LinePoint`), so that `pbw.project` evaluates
+P(s) on the same power vector as v(s) instead of reading the vector's
+words.  A form is a tuple that `verma` only stores and hands back.
 
 `verma` imports this module on a line's first build, so that a process
 that never builds one, a cold job most of all, does not compile it.
@@ -22,44 +27,91 @@ that never builds one, a cold job most of all, does not compile it.
 from __future__ import annotations
 
 import math
+from operator import mul
 
-from .freealg import maximal_minors
+from .freealg import FreeElement, maximal_minors
 
 
 def line_form(pencil: list[dict[int, tuple[int, int]]], chosen: list[int]) -> tuple | None:
-    """(D, v, d) from the pencil rows at the indices `chosen`
+    """(D, v, d, projections) from the pencil rows at the indices `chosen`
     (`line_polynomials`), or None where the build is refused: there, or
     where some row of the pencil, chosen or not, does not kill v(s)
     coefficient by coefficient.  A kept form has M(s)v(s) = 0 for every s.
+    `projections` starts empty; `LinePoint.project` fills it, one target
+    at a time.
     """
     form = line_polynomials([pencil[k] for k in chosen])
     if form is None or not all(_kills_identically(row, form) for row in pencil):
         return None
-    return form
+    return (*form, {})
 
 
-def kernel_at(form: tuple, S: int, E: int, ncols: int) -> list[tuple[int, list[int]]] | None:
-    """The kernel at the line parameter s = S/E, E > 0, from a kept form,
-    in `freealg.kernel_basis`'s normal form, or None where D(s) = 0 or
-    v(s) = 0.
+def kernel_at(form: tuple, S: int, E: int, words: list) -> FreeElement | None:
+    """The kernel at the line parameter s = S/E, E > 0, from a kept form, as
+    its one vector on the grade's basis `words` in `freealg.kernel_basis`'s
+    normal form, or None where D(s) = 0 or v(s) = 0.
 
-    D(s) != 0 gives the chosen rows rank ncols - 1, so the kernel has
+    D(s) != 0 gives the chosen rows rank len(words) - 1, so the kernel has
     dimension at most 1, and every row kills v(s), so v(s) != 0 spans it.
-    Both are evaluated homogeneously in ints: v's entries all to degree d,
-    so their common factor E^d goes with the normal form's gcd.
+    Both are evaluated homogeneously in ints: D by Horner's rule, and v's
+    entries, all of degree d, as dot products with one power vector
+    w_k = S^k * E^(d-k), so their common factor E^d goes with the normal
+    form's gcd g.  The vector carries w and g (`LinePoint`), from which
+    `pbw.project` reads its projections.
     """
-    D, v, _ = form
+    D, v, d, _ = form
     if not _poly_at(D, S, E):
         return None
-    nums = [0] * ncols
-    for j, poly in v.items():
-        nums[j] = _poly_at(poly, S, E)
-    top = next((c for c in reversed(nums) if c), 0)
-    if not top:
+    w = [S**k * E ** (d - k) for k in range(d + 1)]
+    nums = {j: c for j, poly in v.items() if (c := sum(map(mul, poly, w)))}
+    if not nums:
         return None
-    g = math.gcd(*nums)
+    top = nums[max(nums)]
+    g = math.gcd(*nums.values())
     g = g if top > 0 else -g
-    return [(top // g, [c // g for c in nums])]
+    vec = FreeElement._from_ints(top // g, {words[j]: c // g for j, c in nums.items()})
+    vec._line = LinePoint(form, words, w, g)
+    return vec
+
+
+class LinePoint:
+    """A kept form at one point s = S/E, as the vector `kernel_at` gives
+    there carries it: the grade's basis words, the power vector w and the
+    gcd g that v(s) was divided by."""
+
+    __slots__ = ("form", "words", "w", "g")
+
+    def __init__(self, form: tuple, words: list, w: list[int], g: int):
+        self.form, self.words, self.w, self.g = form, words, w, g
+
+    def project(self, target: str) -> dict:
+        """The vector's `pbw.project` numerators over its own denominator:
+        {monomial: P(S, E) // g}, nonzero only, with P(s) the projection of
+        v(s) (`_projected`), built once per form and target."""
+        projections = self.form[3]
+        P = projections.get(target)
+        if P is None:
+            P = projections[target] = _projected(self.form, self.words, target)
+        w, g = self.w, self.g
+        return {key: c // g for key, poly in P.items() if (c := sum(map(mul, poly, w)))}
+
+
+def _projected(form: tuple, words: list, target: str) -> dict:
+    """P(s), the projection of v(s) into the target, as {monomial: d + 1
+    integer coefficients}: `pbw.project` of each coefficient vector v_k of
+    v(s) = sum(v_k * s^k) gives the coefficients of s^k, since projecting
+    is linear.  So P(s) = project(v(s)) identically, and the projection
+    rule stays written once, in `pbw`."""
+    from .pbw import project
+
+    _, v, d, _ = form
+    P: dict = {}
+    for k in range(d + 1):
+        nums = {words[j]: poly[k] for j, poly in v.items() if poly[k]}
+        if nums:
+            for key, c in project(FreeElement._from_ints(1, nums), target).integer_form()[1].items():
+                P.setdefault(key, [0] * (d + 1))[k] = c
+    return P
 
 
 def line_polynomials(chosen: list[dict[int, tuple[int, int]]]) -> tuple | None:

@@ -18,7 +18,9 @@ Free words project into a target through a per-process cache of word
 images keyed by (target, word): each image is built once, from its longest
 cached prefix, and kept as integer coefficients.  `project` dots a vector's
 integer form with cached integer rows, one per output monomial and grade,
-holding a column per word, added the first time the word is projected.
+holding a column per word, added the first time the word is projected;
+a vector that a built reducibility line answered projects through that
+line's polynomials instead (`lines.LinePoint`).
 
 The quadratic factors are X_u = f2 f1 + u*h in "H" and
 X_u = f2 f1 + u*h - u(u-1)/2 in "L"; the identity suites at the bottom
@@ -280,8 +282,14 @@ _PROJECTION_ROWS: dict[tuple[str, int, int], tuple[dict, dict[Monomial, list[int
 def project(elem: FreeElement, target: str) -> PBWElement:
     """Push a free-word combination into the target algebra: the element's
     integer form dotted with the cached integer rows of its grade, kept over
-    the element's denominator."""
+    the element's denominator.  A vector answered by a built reducibility
+    line carries its point there (`FreeElement._line`), and its numerators
+    are the line's projected polynomials at that point, over the same
+    denominator: the same integer form, with no row read."""
     den, nums = elem.integer_form()
+    line = getattr(elem, "_line", None)
+    if line is not None:
+        return PBWElement._from_ints(target, den, line.project(target))
     first = next(iter(nums), ())
     cols, rows = _PROJECTION_ROWS.setdefault((target, first.count(1), first.count(2)), ({}, {}))
     for word in nums:

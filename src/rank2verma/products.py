@@ -212,11 +212,15 @@ def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[
     return cached
 
 
-def expand_product(spec: ProductSpec, xi_value: Fraction, target: str) -> PBWElement:
+def expand_product(
+    spec: ProductSpec, xi_value: Fraction, target: str, *, polynomial: tuple | None = None
+) -> PBWElement:
     """The product of the factors at a concrete xi in the target algebra:
     its cached polynomial in xi evaluated at xi = X/D in ints, as
-    D^degree times each polynomial, over den * D^degree."""
-    den, degree, polys = _product_polynomial(spec, target)
+    D^degree times each polynomial, over den * D^degree.  A caller that
+    already holds `_product_polynomial(spec, target)` passes it as
+    `polynomial`, and the spec is then not looked up."""
+    den, degree, polys = polynomial or _product_polynomial(spec, target)
     X, D = xi_value.numerator, xi_value.denominator
     weights = [X**i * D ** (degree - i) for i in range(degree + 1)]
     out = {}
@@ -263,8 +267,10 @@ class VerificationRecord(
 
 # (case, n, m, cartan) -> (whether the weight is shifted, lambda(h1),
 # lambda(h2) and xi (0 if none) at this m as `_in_t` integers, product
-# spec), built once per process; shared and never mutated
-_FAMILY_CACHE: dict[tuple[int, int, int, CartanData], tuple[bool, tuple[tuple[int, int, int], ...], ProductSpec]] = {}
+# spec, {target: `_product_polynomial(spec, target)`}), built once per
+# process, the last dict one target at a time; shared and otherwise never
+# mutated
+_FAMILY_CACHE: dict[tuple[int, int, int, CartanData], tuple[bool, tuple[tuple[int, int, int], ...], ProductSpec, dict]] = {}
 
 
 def _in_t(form: AffineForm | None, m: int) -> tuple[int, int, int]:
@@ -334,8 +340,11 @@ def end_to_end(
     if key not in _FAMILY_CACHE:
         weight = case_weight(case, n, cartan)
         forms = (weight.x, weight.y, xi_of_mt(case, n, cartan))
-        _FAMILY_CACHE[key] = (weight.shifted, tuple(_in_t(f, m) for f in forms), build_product(case, n, m, cartan))
-    shifted, forms, spec = _FAMILY_CACHE[key]
+        _FAMILY_CACHE[key] = (weight.shifted, tuple(_in_t(f, m) for f in forms), build_product(case, n, m, cartan), {})
+    shifted, forms, spec, polynomials = _FAMILY_CACHE[key]
+    for tg in live:
+        if tg not in polynomials:
+            polynomials[tg] = _product_polynomial(spec, tg)
 
     for t in t_samples:
         t = Fraction(t)
@@ -357,7 +366,7 @@ def end_to_end(
             continue
         for tg in live:
             proj = project(res.vector, tg)
-            prod = expand_product(spec, xi_val, tg)
+            prod = expand_product(spec, xi_val, tg, polynomial=polynomials[tg])
             s = proportionality(proj, prod)
             if s is not None:
                 status, reason = "ok", None

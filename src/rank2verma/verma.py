@@ -25,10 +25,13 @@ dimension n, that line's form is built once (`lines.line_form`): D(s),
 the determinant of the grade's n - 1 chosen rows without their free
 column, and v(s) of least degree, both interpolated from the rows' maximal
 minors at s = 0..n-1 and kept only if every row, chosen or not, kills
-v(s) coefficient by coefficient.  A weight on a built line then costs two
+v(s) coefficient by coefficient.  A weight on a built line then costs
 polynomial evaluations in ints (`lines.kernel_at`): D(s) != 0 certifies
-that the kernel has dimension at most 1, so the nonzero v(s) spans it.  Where D(s) = 0, off the line, and
-on a line whose build was refused, the exact path answers as before.
+that the kernel has dimension at most 1, so the nonzero v(s) spans it,
+and the vector carries the line's point, from which `pbw.project` reads
+its projection as the line's projected polynomials P(s).  Where D(s) = 0,
+off the line, and on a line whose build was refused, the exact path
+answers as before.
 
 SingularVectorResult is an immutable namedtuple: hashed and compared as its
 field tuple, so also iterable, orderable and equal to a plain tuple.
@@ -248,7 +251,8 @@ def _elements(kern: list[tuple[int, list[int]]], words: list) -> list[FreeElemen
 # (p, q, a, b, m) -> the reducibility line of (root (a, b), m): the number
 # of exact solves on it so far, until that reaches its grade's quotient
 # dimension; then its polynomial form from `_line_form`, a tuple that only
-# `lines` reads, or None where the build was refused
+# `lines` reads and that holds the line's projections once they are built,
+# or None where the build was refused
 _LINE_CACHE: dict[tuple[int, int, int, int, int], int | tuple | None] = {}
 
 
@@ -301,7 +305,7 @@ def singular_vectors(
     source = graded_quotient(g1, g2, cartan)
     unshifted = weight.to_unshifted()
     point = line_parameter(weight, root, m, cartan)
-    kern = None
+    vector = None
     if point is not None:
         key = (cartan.p, cartan.q, root.k1, root.k2, m)
         form = _LINE_CACHE.get(key, 0)
@@ -313,10 +317,10 @@ def singular_vectors(
         if type(form) is tuple:
             from . import lines
 
-            kern = lines.kernel_at(form, *point, source.dim)
+            vector = lines.kernel_at(form, *point, source.basis_words)
     # each kernel vector has a 1 at its highest nonzero column: the largest word
-    if kern is not None:
-        vectors = _elements(kern, source.basis_words)
+    if vector is not None:
+        vectors = [vector]
     else:
         vectors = _kernel(g1, g2, unshifted, cartan, source.basis_words)
     return SingularVectorResult(

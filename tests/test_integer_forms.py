@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma import pbw, products
-from rank2verma.cartan import CartanData
+from rank2verma import pbw, products, verma
+from rank2verma.cartan import CartanData, family_root
 from rank2verma.cli import _pbw_doc, _vector_doc
 from rank2verma.freealg import FreeElement, _fraction_str, graded_quotient, word_str, words_of_grade
 from rank2verma.gamma import WeightParam
@@ -191,3 +191,50 @@ def test_warm_job_fraction_budget():
     assert len(records) == 6 and text
     # the kernel vectors were rendered without their Fraction coefficients
     assert all(rec.vector._coeffs is None for rec in records)
+
+
+class _RecordingRows(dict):
+    """pbw._PROJECTION_ROWS that records the grades `project` reads."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def setdefault(self, key, default=None):
+        self.read.append(key)
+        return super().setdefault(key, default)
+
+
+def test_warm_line_job_reads_no_projection_rows(monkeypatch):
+    # once the three tsweep lines are built (the (8,3) one after 63
+    # solves) and a job has projected each line's polynomial kernel, a warm
+    # job's vectors come from the lines and project through P(s): no
+    # projection row is read, and the job stays within the warm budget of
+    # Fractions
+    families = [(CartanData(p, q), case, n, m) for p, q, case, n, m in TSWEEP_FAMILIES]
+    keys = [(cd.p, cd.q, *family_root(case, n, cd), m) for cd, case, n, m in families]
+    rng = random.Random(6)
+    verma._LINE_CACHE.clear()
+    try:
+        jobs = 0
+        while not all(type(verma._LINE_CACHE.get(key)) is tuple for key in keys):
+            _warm_job(families, Fraction(rng.randint(-999, 999), rng.randint(1, 999)))
+            jobs += 1
+        assert jobs == 64
+        _warm_job(families, Fraction(rng.randint(-999, 999), rng.randint(1, 999)))
+        rows = _RecordingRows(pbw._PROJECTION_ROWS)
+        monkeypatch.setattr(pbw, "_PROJECTION_ROWS", rows)
+        t = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        profile = cProfile.Profile()
+        profile.enable()
+        records, text = _warm_job(families, t)
+        profile.disable()
+        assert rows.read == []
+        assert all(rec.vector._line is not None for rec in records)
+        built = sum(
+            stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+            if name == "__new__" and path.endswith("fractions.py")
+        )
+        assert 0 < built <= 24, built
+    finally:
+        verma._LINE_CACHE.clear()

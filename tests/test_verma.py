@@ -466,7 +466,8 @@ def test_results_independent_of_warm_caches():
         assert products._PRODUCT_CACHE and pbw._PROJECTION_ROWS and freealg._WORD_STR_CACHE
         form = verma._LINE_CACHE[key]
         assert type(form) is tuple
-        assert lines.kernel_at(form, *line_parameter(weight, root, 3, cd), cold[0].quotient_dim) is not None
+        words = graded_quotient(*cold[0].grade, cd).basis_words
+        assert lines.kernel_at(form, *line_parameter(weight, root, 3, cd), words) is not None
         warm = result()
         assert warm == cold
         assert repr(warm) == repr(cold)
@@ -599,7 +600,7 @@ def test_line_path_matches_kernel_on_all_rows(p, q, monkeypatch):
     try:
         _clear_caches()
         for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
-            dim = graded_quotient(g1, g2, cd).dim
+            words = graded_quotient(g1, g2, cd).basis_words
             for case, n, m in families:
                 root, weight = family_root(case, n, cd), case_weight(case, n, cd)
                 form = verma._LINE_CACHE[_force_line_build(cd, case, n, m, rng)]
@@ -611,13 +612,69 @@ def test_line_path_matches_kernel_on_all_rows(p, q, monkeypatch):
                     res = singular_vectors(w, root, m, cd)
                     assert list(res.vectors) == _kernel_on_all_rows(w, g1, g2, cd), (g1, g2, t)
                     assert res.kernel_dim == len(res.vectors)
-                    by_line = lines.kernel_at(form, *line_parameter(w, root, m, cd), dim) is not None
+                    by_line = lines.kernel_at(form, *line_parameter(w, root, m, cd), words) is not None
                     assert (calls == []) == by_line, (g1, g2, t)
                     answered += by_line
                     asked += 1
     finally:
         _clear_caches()
     assert answered > 0.9 * asked
+
+
+def _row_projection(vec, tg):
+    """pbw.project of the vector's integer form by the row dots, as (den,
+    sorted numerators): the same form on an element that carries no line."""
+    den, nums = project(FreeElement._from_ints(*vec.integer_form()), tg).integer_form()
+    return den, sorted(nums.items())
+
+
+def _line_projection(vec, tg):
+    den, nums = project(vec, tg).integer_form()
+    return den, sorted(nums.items())
+
+
+@pytest.mark.parametrize("p,q", ORACLE_PAIRS)
+def test_line_projection_matches_project(p, q):
+    # every family line with g1 + g2 <= 9 builds its polynomial form; then
+    # at 20 seeded t, and at t = -3/2, -1/2 and 1/2, where D may vanish, a
+    # vector carries the line exactly where the line answers, and projects
+    # through the line's P(s) to the integer form that the row dots give
+    # the same vector, in H and, where defined, in L.  Where D vanishes the
+    # exact path answers.  One coefficient of one P moved by 1 is seen.
+    cd = CartanData(p, q)
+    targets = [tg for tg in pbw.TARGETS if pbw.projection_defined(tg, cd)]
+    rng = random.Random(p * 100 + q)
+    by_line = asked = vanished = 0
+    try:
+        _clear_caches()
+        for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
+            words = graded_quotient(g1, g2, cd).basis_words
+            for case, n, m in families:
+                root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+                form = verma._LINE_CACHE[_force_line_build(cd, case, n, m, rng)]
+                ts = [random_rational(rng) if k % 4 == 0 else Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for k in range(20)]
+                for t in ts + [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)]:
+                    w = weight.at(m, t)
+                    S, E = line_parameter(w, root, m, cd)
+                    line = lines.kernel_at(form, S, E, words) is not None
+                    vanished += not lines._poly_at(form[0], S, E)
+                    res = singular_vectors(w, root, m, cd)
+                    for vec in res.vectors:
+                        assert (getattr(vec, "_line", None) is not None) == line, (g1, g2, t)
+                        for tg in targets:
+                            assert _line_projection(vec, tg) == _row_projection(vec, tg), (g1, g2, t, tg)
+                    by_line += line
+                    asked += 1
+        # the last line's P in the first target, its constant coefficient
+        # of one monomial moved by 1
+        P = form[3][targets[0]]
+        P[min(P)][0] += 1
+        vectors = [singular_vectors(weight.at(m, t), root, m, cd).vector for t in ts]
+        assert any(_line_projection(vec, targets[0]) != _row_projection(vec, targets[0]) for vec in vectors)
+    finally:
+        _clear_caches()
+    assert by_line > 0.9 * asked
+    assert vanished or (p, q) != (2, 2)
 
 
 def test_line_form_vanishes_at_the_dim3_point(monkeypatch):
@@ -630,7 +687,7 @@ def test_line_form_vanishes_at_the_dim3_point(monkeypatch):
     calls = _recording_kernel(monkeypatch)
     try:
         _clear_caches()
-        D, v, d = verma._LINE_CACHE[_force_line_build(cd, 2, 1, 3, random.Random(23))]
+        D = verma._LINE_CACHE[_force_line_build(cd, 2, 1, 3, random.Random(23))][0]
         S, E = line_parameter(weight.at(3, Fraction(-3, 2)), root, 3, cd)
         assert lines._poly_at(D, S, E) == 0
         calls.clear()
