@@ -24,7 +24,7 @@ from .cartan import (
     RootVector,
     orbit,
 )
-from .freealg import GradeCapExceeded, _fraction_str, grade_cap, word_str
+from .freealg import GradeCapExceeded, grade_cap, word_str
 from .gamma import (
     GENERIC_T_SAMPLES,
     GammaTable,
@@ -223,14 +223,13 @@ def cmd_singular(args) -> tuple[dict, list[dict], int]:
     for vi, vec in enumerate(res.vectors):
         ann = annihilates(vec, weight, cartan)
         all_annihilated = all_annihilated and ann
-        den, nums = vec.integer_form()
-        for w in sorted(nums):
+        for w, coeff in zip(*vec.coefficient_texts()):
             rows.append(
                 {
                     "vector": vi,
                     "word": "".join(map(str, w)),
                     "pretty": word_str(w),
-                    "coeff": _fraction_str(nums[w], den),
+                    "coeff": coeff,
                     "annihilated": ann,
                 }
             )
@@ -265,8 +264,7 @@ def _element_doc(elem, sep: str) -> dict | None:
     """{key: coefficient text} of an element, each key's entries joined by sep."""
     if elem is None:
         return None
-    den, nums = elem.integer_form()
-    return {sep.join(map(str, k)): _fraction_str(nums[k], den) for k in sorted(nums)}
+    return {sep.join(map(str, k)): text for k, text in zip(*elem.coefficient_texts())}
 
 
 def _vector_doc(vec) -> dict | None:

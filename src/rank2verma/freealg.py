@@ -4,8 +4,9 @@ Words are tuples over {1, 2}, compared lexicographically with 1 < 2, and a
 grade (g1, g2) counts occurrences of each letter.  `IntegerForm` is the
 number format of free and PBW elements: one positive denominator and an
 integer numerator per key, with the Fraction coefficients built only when
-they are read; `FreeElement` is that form over words, and `_fraction_str`
-renders one coefficient of such a form as `Fraction` does.
+they are read; `FreeElement` is that form over words, and
+`IntegerForm.coefficient_texts` renders the coefficients of such a form as
+`Fraction` does, for its repr and for the CLI's reports.
 The ideal slice spanned by framed Serre relators, and the matrices whose
 kernels are asked for, go through one exact core: sparse fraction-free
 elimination of integer rows.  Quotient bases and reductions are read off
@@ -99,7 +100,9 @@ def word_str(word: Word) -> str:
 
 def _fraction_str(num: int, den: int) -> str:
     """The text of Fraction(num, den), den > 0, as `Fraction.__str__` gives
-    it, with one gcd and no Fraction built."""
+    it, with one gcd and no Fraction built: what
+    `IntegerForm.coefficient_texts` writes for one coefficient, kept as the
+    tests' reference."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -113,9 +116,10 @@ class IntegerForm:
     first time it is read.  Arithmetic, equality and display read only the
     integer form, which need not be reduced; the display text is rendered
     once per element.  Operands of another class make the operators return
-    NotImplemented.  A subclass names its key renderer `_key_str`; its
-    `_space` are the arguments that `_from_ints` takes before den (the
-    target of a PBW element), which two operands must share.
+    NotImplemented.  A subclass names its key renderer `_key_str` and the
+    dict of key texts it fills, `_key_text`; its `_space` are the arguments
+    that `_from_ints` takes before den (the target of a PBW element), which
+    two operands must share.
     """
 
     __slots__ = ("_ints", "_coeffs", "_text")
@@ -216,11 +220,33 @@ class IntegerForm:
     def _zero_text(self) -> str:
         return "0"
 
+    def coefficient_texts(self, terms: bool = False) -> tuple[list, list[str]]:
+        """The keys in order, and each one's coefficient as `Fraction` writes
+        it (`_fraction_str`), or with terms, the repr's term (c)*key for it,
+        the key's text read from the class's `_key_text` dict (`_key_str`
+        fills it).  One pass over the keys with one gcd each; the
+        denominator's text is written once per reducing gcd."""
+        den, nums = self._ints
+        gcd = math.gcd
+        known, key_str = self._key_text, self._key_str
+        close = ")*" if terms else ""
+        tails = {den: close}
+        keys = sorted(nums)
+        texts = []
+        for k in keys:
+            v = nums[k]
+            g = gcd(v, den)
+            tail = tails.get(g)
+            if tail is None:
+                tail = tails[g] = f"/{den // g}{close}"
+            texts.append(f"({v // g}{tail}{known.get(k) or key_str(k)}" if terms else f"{v // g}{tail}")
+        return keys, texts
+
     def __repr__(self):
+        """The terms of `coefficient_texts` joined by " + ", rendered once
+        per element."""
         if self._text is None:
-            den, nums = self._ints
-            key_str = self._key_str
-            self._text = " + ".join(f"({_fraction_str(nums[k], den)})*{key_str(k)}" for k in sorted(nums)) or self._zero_text()
+            self._text = " + ".join(self.coefficient_texts(terms=True)[1]) or self._zero_text()
         return self._text
 
 
@@ -236,6 +262,7 @@ class FreeElement(IntegerForm):
     __slots__ = ("_line",)
 
     _key_str = staticmethod(word_str)
+    _key_text = _WORD_STR_CACHE
 
     @classmethod
     def from_word(cls, word: Word, coeff: Fraction | int = 1) -> "FreeElement":

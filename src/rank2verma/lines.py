@@ -11,11 +11,12 @@ v(s) coefficient by coefficient.  Everything is in integers: the rows'
 maximal minors at s = 0..n-1 (`freealg.maximal_minors`), Newton
 interpolation, and a primitive pseudo-remainder gcd.
 
-`kernel_at` answers a weight on a built line: D(s) != 0 certifies that
-the kernel has dimension at most 1, and the nonzero v(s) spans it.  The
-projection into a target is linear, so v(s) projects to polynomials P(s),
-one per output monomial; `_projected` builds them once per form and target
-from `pbw.project` of v's coefficient vectors, and the vector `kernel_at`
+`kernel_at` answers a weight on a built line: D(s) != 0, shown by the
+rational root theorem or else by evaluation, certifies that the kernel has
+dimension at most 1, and the nonzero v(s) spans it.  The projection into a
+target is linear, so v(s) projects to polynomials P(s), one per output
+monomial; `_projected` builds them once per form and target from
+`pbw.project` of v's coefficient vectors, and the vector `kernel_at`
 returns carries the point (`LinePoint`), so that `pbw.project` evaluates
 P(s) on the same power vector as v(s) instead of reading the vector's
 words.  A form is a tuple that `verma` only stores and hands back.
@@ -47,20 +48,22 @@ def line_form(pencil: list[dict[int, tuple[int, int]]], chosen: list[int]) -> tu
 
 
 def kernel_at(form: tuple, S: int, E: int, words: list) -> FreeElement | None:
-    """The kernel at the line parameter s = S/E, E > 0, from a kept form, as
-    its one vector on the grade's basis `words` in `freealg.kernel_basis`'s
-    normal form, or None where D(s) = 0 or v(s) = 0.
+    """The kernel at the line parameter s = S/E, in lowest terms with E > 0
+    (as `gamma.line_parameter` gives it), from a kept form, as its one
+    vector on the grade's basis `words` in `freealg.kernel_basis`'s normal
+    form, or None where D(s) = 0 or v(s) = 0.
 
     D(s) != 0 gives the chosen rows rank len(words) - 1, so the kernel has
     dimension at most 1, and every row kills v(s), so v(s) != 0 spans it.
-    Both are evaluated homogeneously in ints: D by Horner's rule, and v's
-    entries, all of degree d, as dot products with one power vector
+    D(s) != 0 is certified by divisibility where it can be
+    (`_not_a_root`), and otherwise by Horner's rule in ints.  v's entries,
+    all of degree d, are dot products with one power vector
     w_k = S^k * E^(d-k), so their common factor E^d goes with the normal
     form's gcd g.  The vector carries w and g (`LinePoint`), from which
     `pbw.project` reads its projections.
     """
     D, v, d, _ = form
-    if not _poly_at(D, S, E):
+    if not (_not_a_root(D, S, E) or _poly_at(D, S, E)):
         return None
     w = [S**k * E ** (d - k) for k in range(d + 1)]
     nums = {j: c for j, poly in v.items() if (c := sum(map(mul, poly, w)))}
@@ -194,6 +197,15 @@ def _interpolate(xs, ys: list[int]) -> list[int] | None:
     while poly and not poly[-1]:
         poly.pop()
     return poly
+
+
+def _not_a_root(poly: list[int], S: int, E: int) -> bool:
+    """Whether divisibility alone shows that s = S/E, in lowest terms with
+    E > 0, is no root of the nonzero poly.  By the rational root theorem a
+    root s != 0 has S dividing poly's lowest nonzero coefficient and E its
+    leading one; False leaves the question open (Horner decides), as it
+    always is at s = 0."""
+    return S != 0 and (next(filter(None, poly)) % S != 0 or poly[-1] % E != 0)
 
 
 def _poly_at(poly: list[int], S: int, E: int = 1) -> int:

@@ -115,6 +115,7 @@ class PBWElement(IntegerForm):
     __slots__ = ("target",)
 
     _key_str = staticmethod(_mono_str)
+    _key_text = _MONO_STR
 
     def __init__(self, target: str, coeffs: dict[Monomial, Fraction] | None = None):
         if target not in TARGETS:

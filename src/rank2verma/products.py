@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .cartan import CartanData, RootVector, family_root
 from .freealg import grade_cap
@@ -146,14 +147,10 @@ def build_product(case: int, n: int, m: int, cartan: CartanData) -> ProductSpec:
     return spec
 
 
-# (spec, target) -> (den, degree, {monomial: integer coefficients of a
-# polynomial in xi, constant first}): the factor product over the common
-# denominator den, built once per process; shared and never mutated
-_PRODUCT_CACHE: dict[tuple[ProductSpec, str], tuple[int, int, dict[Monomial, tuple[int, ...]]]] = {}
-
-
 def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[Monomial, tuple[int, ...]]]:
-    """The factor product with xi left free, from the cache.
+    """The factor product with xi left free, as (den, degree, {monomial:
+    integer coefficients of a polynomial in xi, constant first}) over the
+    common denominator den.
 
     Each subscript is u = c + a*xi with integer c and a, so X_u is
     f2 f1 + (c + a*xi) h, minus (c + a*xi)(c - 1 + a*xi)/2 in "L": twice
@@ -164,10 +161,6 @@ def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[
     The result is reduced by the gcd of everything and kept with the
     largest degree that occurs.
     """
-    key = (spec, target)
-    cached = _PRODUCT_CACHE.get(key)
-    if cached is not None:
-        return cached
     # each factor as {monomial: polynomial in xi, constant first}, twice
     # X_u in "L"
     factors: list[dict[Monomial, list[int]]] = []
@@ -208,26 +201,21 @@ def _product_polynomial(spec: ProductSpec, target: str) -> tuple[int, int, dict[
     g = math.gcd(den, *(v for poly in out.values() for v in poly))
     polys = {k: tuple(v // g for v in poly) for k, poly in out.items()}
     degree = max((len(poly) - 1 for poly in polys.values()), default=0)
-    _PRODUCT_CACHE[key] = cached = (den // g, degree, polys)
-    return cached
+    return (den // g, degree, polys)
 
 
 def expand_product(
     spec: ProductSpec, xi_value: Fraction, target: str, *, polynomial: tuple | None = None
 ) -> PBWElement:
     """The product of the factors at a concrete xi in the target algebra:
-    its cached polynomial in xi evaluated at xi = X/D in ints, as
-    D^degree times each polynomial, over den * D^degree.  A caller that
-    already holds `_product_polynomial(spec, target)` passes it as
-    `polynomial`, and the spec is then not looked up."""
+    its polynomial in xi evaluated at xi = X/D in ints, as D^degree times
+    each polynomial, over den * D^degree.  A caller that keeps
+    `_product_polynomial(spec, target)` passes it as `polynomial`;
+    otherwise the factors are multiplied out here."""
     den, degree, polys = polynomial or _product_polynomial(spec, target)
     X, D = xi_value.numerator, xi_value.denominator
     weights = [X**i * D ** (degree - i) for i in range(degree + 1)]
-    out = {}
-    for k, coeffs in polys.items():
-        v = sum(c * w for c, w in zip(coeffs, weights))
-        if v:
-            out[k] = v
+    out = {k: v for k, coeffs in polys.items() if (v := sum(map(mul, coeffs, weights)))}
     return PBWElement._from_ints(target, den * D**degree, out)
 
 

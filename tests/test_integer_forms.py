@@ -83,6 +83,43 @@ def test_pbw_repr_matches_fraction_rendering(tg):
     assert repr(zero) == repr(PBWElement(tg)) == f"PBWElement({tg}, 0)" and _pbw_doc(zero) == {}
 
 
+@pytest.mark.parametrize("space", ["free", "H", "L"])
+def test_renderer_edge_cases(space):
+    # the one coefficient renderer, read by repr and by the CLI's documents,
+    # at its edges: every entry reduced by one shared gcd, entries whose gcd
+    # is the denominator (integers, among fractions), numerators of 2^200
+    # and more, of either sign, over small and large denominators, and the
+    # zero element; each checked against Fraction's own text
+    if space == "free":
+        keys, key_str, make, doc = words_of_grade(3, 3), word_str, FreeElement._from_ints, _vector_doc
+        doc_key, zero = "".join, "0"
+    else:
+        keys = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+        key_str, doc = pbw._mono_str, _pbw_doc
+        make = lambda den, nums: PBWElement._from_ints(space, den, nums)  # noqa: E731
+        doc_key, zero = ",".join, f"PBWElement({space}, 0)"
+    big = 2**200
+    forms = [
+        (36, {k: 6 * c for k, c in zip(keys, (1, -5, 7, 11, -13, 25))}),
+        (7, {keys[0]: 7, keys[1]: -14, keys[2]: 3, keys[3]: 7 * big, keys[4]: -5}),
+        (3 * big, {keys[0]: big, keys[1]: -big, keys[2]: -(big + 1), keys[3]: 15 * big, keys[4]: -(2**201)}),
+        (1, {keys[0]: -big, keys[1]: big**2, keys[2]: -1}),
+        (big + 1, {k: -(big + 1) * i for i, k in enumerate(keys[:6], 1)}),
+        (5, {}),
+    ]
+    for den, nums in forms:
+        coeffs = {k: Fraction(v, den) for k, v in nums.items()}
+        elem = make(den, nums)
+        order = sorted(nums)
+        assert repr(elem) == (" + ".join(f"({coeffs[k]})*{key_str(k)}" for k in order) or zero)
+        assert elem.coefficient_texts() == (order, [str(coeffs[k]) for k in order])
+        assert [_fraction_str(nums[k], den) for k in order] == [str(coeffs[k]) for k in order]
+        assert list(doc(elem).items()) == [(doc_key(map(str, k)), str(coeffs[k])) for k in order]
+    # the shared gcd and the integer entries rendered as such
+    assert repr(make(36, {keys[0]: 6, keys[1]: -30})) == f"(1/6)*{key_str(keys[0])} + (-5/6)*{key_str(keys[1])}"
+    assert make(7, {keys[0]: 7, keys[1]: 3}).coefficient_texts()[1] == ["1", "3/7"]
+
+
 def _e_action_reference(i, coeffs, weight, cartan):
     """e_i on {word: Fraction}, in Fractions, deletion by deletion."""
     w = weight.to_unshifted()

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma import freealg, products
-from rank2verma.cartan import CartanData
+from rank2verma import freealg, products, verma
+from rank2verma.cartan import CartanData, family_root
+from rank2verma.freealg import kernel_basis
 from rank2verma.gamma import AffineForm, GammaTable, case_weight, random_rational, xi_of_mt
 from rank2verma.pbw import TARGETS, PBWElement, f_power, quadratic_factor
 from rank2verma.verma import SingularVectorResult
@@ -143,6 +144,49 @@ def test_tsweep_records_frozen():
     for p, q, case, n, m in families:
         records.extend(end_to_end(case, n, m, CartanData(p, q), t_samples=ts))
     assert [r.status for r in records].count("nongeneric") == 2
+    assert len(records) == 78
+    digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
+    assert digest == "70d19c85f93b4f90eaa98aeb64de077c059717c466dfa54a99b53642e93fb3db"
+
+
+def test_tsweep_records_frozen_on_built_lines(monkeypatch):
+    # the records of test_tsweep_records_frozen again, once all three
+    # families' reducibility lines have built their polynomial forms (the
+    # (8,3) line after 63 exact solves): the same bytes, with no
+    # kernel_basis call for the 12 generic t, which the lines answer, and
+    # the 2 nongeneric rows at t = -3/2, where D vanishes on the (3,6) line
+    # and the exact path answers
+    families = [(CartanData(p, q), case, n, m) for p, q, case, n, m in ((2, 3, 1, 2, 1), (2, 2, 2, 1, 3), (3, 3, 1, 2, 1))]
+    keys = [(cd.p, cd.q, *family_root(case, n, cd), m) for cd, case, n, m in families]
+    rng = random.Random(7)
+    ts = tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(12)) + (Fraction(-3, 2),)
+    calls = []
+
+    def recording(rows, ncols):
+        calls.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(verma, "kernel_basis", recording)
+    build = random.Random(8)
+    verma._LINE_CACHE.clear()
+    try:
+        jobs = 0
+        while not all(type(verma._LINE_CACHE.get(key)) is tuple for key in keys):
+            t = Fraction(build.randint(-999, 999), build.randint(1, 999))
+            for cd, case, n, m in families:
+                end_to_end(case, n, m, cd, t_samples=(t,))
+            jobs += 1
+        assert jobs == 64
+        calls.clear()
+        generic = [end_to_end(case, n, m, cd, t_samples=ts[:12]) for cd, case, n, m in families]
+        assert calls == []
+        last = [end_to_end(case, n, m, cd, t_samples=ts[12:]) for cd, case, n, m in families]
+        assert calls
+    finally:
+        verma._LINE_CACHE.clear()
+    records = [rec for some, rest in zip(generic, last) for rec in some + rest]
+    assert all(rec.vector._line is not None for some in generic for rec in some)
+    assert [(r.t, r.status) for r in records if r.status != "ok"] == [(Fraction(-3, 2), "nongeneric")] * 2
     assert len(records) == 78
     digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
     assert digest == "70d19c85f93b4f90eaa98aeb64de077c059717c466dfa54a99b53642e93fb3db"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -282,7 +283,6 @@ def _clear_caches():
     pbw._PROJECTION_CACHE.clear()
     pbw._PROJECTION_ROWS.clear()
     freealg._WORD_STR_CACHE.clear()
-    products._PRODUCT_CACHE.clear()
     products._FAMILY_CACHE.clear()
 
 
@@ -431,10 +431,11 @@ def test_critical_line_kernel_dims_are_partition_numbers(p, q, delta, top, monke
 def test_results_independent_of_warm_caches():
     # (2,2) case 2, n = 1, m = 3 at t = 2/9, from cleared caches, then again
     # after other t values and other grades (whose quotients, e-action
-    # blocks, word images, projection rows, word strings and factor
-    # products overlap) have warmed every cache, and the line of this
-    # family has built its polynomial form, which then gives the warm
-    # answer; the reprs match too
+    # blocks, word images, projection rows, word strings and families'
+    # factor products overlap) have warmed every cache, and the line of
+    # this family has built its polynomial form, which then gives the warm
+    # answer; the reprs match too, and so do the family's records, whose
+    # products come from its cached product polynomials once warm
     cd = CartanData(2, 2)
     root = family_root(2, 1, cd)
     weight = case_weight(2, 1, cd).at(3, Fraction(2, 9))
@@ -446,6 +447,7 @@ def test_results_independent_of_warm_caches():
             res,
             [project(v, tg) for v in res.vectors for tg in ("H", "L")],
             [expand_product(build_product(2, 1, 3, cd), xi, tg) for tg in ("H", "L")],
+            products.end_to_end(2, 1, 3, cd, t_samples=(Fraction(2, 9),)),
         )
 
     try:
@@ -462,8 +464,9 @@ def test_results_independent_of_warm_caches():
                         project(v, tg)
                     form = xi_of_mt(case, n, cd)
                     expand_product(build_product(case, n, m, cd), form.at(m, t) if form else Fraction(0), tg)
+                products.end_to_end(case, n, m, cd, t_samples=(t,))
         key = _force_line_build(cd, 2, 1, 3, random.Random(9))
-        assert products._PRODUCT_CACHE and pbw._PROJECTION_ROWS and freealg._WORD_STR_CACHE
+        assert (2, 1, 3, cd) in products._FAMILY_CACHE and pbw._PROJECTION_ROWS and freealg._WORD_STR_CACHE
         form = verma._LINE_CACHE[key]
         assert type(form) is tuple
         words = graded_quotient(*cold[0].grade, cd).basis_words
@@ -694,6 +697,88 @@ def test_line_form_vanishes_at_the_dim3_point(monkeypatch):
         records = products.end_to_end(2, 1, 3, cd, t_samples=(Fraction(-3, 2),))
         assert calls
         assert [(r.status, r.kernel_dim) for r in records] == [("nongeneric", 3)] * 2
+    finally:
+        _clear_caches()
+
+
+# (p, q, case, n, m) of the benchmark's tsweep-warm families, at grades
+# (5,3), (3,6) and (8,3)
+TSWEEP_FAMILIES = ((2, 3, 1, 2, 1), (2, 2, 2, 1, 3), (3, 3, 1, 2, 1))
+
+
+def _candidate_roots(D, bound):
+    """The rational roots S/E of D, in lowest terms with E > 0, among the
+    candidates of the rational root theorem with |S|, E <= bound: S = 0,
+    and S dividing D's lowest nonzero coefficient with E dividing its
+    leading one."""
+    low = next(c for c in D if c)
+    candidates = [(0, 1)] + [
+        (S, E) for E in range(1, bound + 1) if D[-1] % E == 0
+        for S in range(-bound, bound + 1) if S and low % S == 0 and math.gcd(S, E) == 1
+    ]
+    return [(S, E) for S, E in candidates if lines._poly_at(D, S, E) == 0]
+
+
+def _certificate_errors(forms, points):
+    """Where the divisibility pretest of `lines.kernel_at` is wrong on the
+    built forms: at the points S/E it certifies D(S/E) != 0 where Horner
+    gives 0, or at a rational root of D (`_candidate_roots`) it certifies,
+    or `kernel_at` answers instead of leaving the root to the exact path.
+    Returns the errors, the roots per line key, and the share of the points
+    the pretest certified."""
+    errors, roots, certified = [], {}, 0
+    for key, (form, words) in forms.items():
+        D = form[0]
+        for S, E in points:
+            if lines._not_a_root(D, S, E):
+                certified += 1
+                if lines._poly_at(D, S, E) == 0:
+                    errors.append((key, S, E, "certified a point that is a root"))
+        roots[key] = _candidate_roots(D, 60)
+        for S, E in roots[key]:
+            if lines._not_a_root(D, S, E):
+                errors.append((key, S, E, "certified a root"))
+            if lines.kernel_at(form, S, E, words) is not None:
+                errors.append((key, S, E, "answered at a root"))
+    return errors, roots, certified / max(1, len(forms) * len(points))
+
+
+def test_divisibility_certificate_is_sound(monkeypatch):
+    # kernel_at certifies D(s) != 0 by the rational root theorem before it
+    # runs Horner.  On every built family line with g1 + g2 <= 9 over the
+    # oracle pairs, and on the three tsweep lines, that certificate is never
+    # wrong at 2000 seeded S/E, half of them with |S|, E <= 60, and every
+    # rational root of D among the theorem's candidates with |S|, E <= 60
+    # goes to the exact path, t = -3/2 on the (3,6) line among them.
+    # Forcing the pretest to always certify is seen
+    rng = random.Random(43)
+    points = []
+    for k in range(2000):
+        top = 999 if k % 2 else 60
+        S, E = rng.randint(-top, top), rng.randint(1, top)
+        g = math.gcd(S, E)
+        points.append((S // g, E // g))
+    forms = {}
+    try:
+        _clear_caches()
+        families = [(p, q, case, n, m) for p, q in ORACLE_PAIRS
+                    for grade_families in _family_grades(CartanData(p, q), 9).values() for case, n, m in grade_families]
+        for p, q, case, n, m in families + list(TSWEEP_FAMILIES):
+            cd = CartanData(p, q)
+            key = _force_line_build(cd, case, n, m, rng)
+            root = family_root(case, n, cd)
+            forms[key] = (verma._LINE_CACHE[key], graded_quotient(m * root.k1, m * root.k2, cd).basis_words)
+            assert type(forms[key][0]) is tuple, key
+        assert all(key in forms for key in [(2, 3, 5, 3, 1), (2, 2, 1, 2, 3), (3, 3, 8, 3, 1)])
+        errors, roots, share = _certificate_errors(forms, points)
+        assert errors == []
+        assert share > 0.9
+        cd = CartanData(2, 2)
+        dim3 = line_parameter(case_weight(2, 1, cd).at(3, Fraction(-3, 2)), family_root(2, 1, cd), 3, cd)
+        assert dim3 in roots[(2, 2, 1, 2, 3)]
+        monkeypatch.setattr(lines, "_not_a_root", lambda D, S, E: True)
+        errors = _certificate_errors(forms, [])[0]
+        assert {"certified a root", "answered at a root"} <= {why for *_, why in errors}
     finally:
         _clear_caches()
 
