@@ -116,12 +116,10 @@ class AffineForm:
         )
 
     def __hash__(self):
-        # a constant form equals its c0, so it hashes as c0; any other form
-        # hashes its integer parts, which is cheaper than hashing Fractions
-        c0, cm, cv = self.c0, self.cm, self.cv
-        if not (cm or cv):
-            return hash(c0)
-        return hash((c0.numerator, c0.denominator, cm.numerator, cm.denominator, cv.numerator, cv.denominator, self.variable))
+        # a constant form equals its c0, so it hashes as c0
+        if not (self.cm or self.cv):
+            return hash(self.c0)
+        return hash((self.c0, self.cm, self.cv, self.variable))
 
     def at(self, m: Rat, value: Rat = 0) -> Fraction:
         """Evaluate at concrete m and variable value."""

@@ -16,11 +16,10 @@ independent check.
 
 Free words project into a target through a per-process cache of word
 images keyed by (target, word): each image is built once, from its longest
-cached prefix, and kept as integer coefficients.  `project` dots a vector's
-integer form with cached integer rows, one per output monomial and grade,
-holding a column per word, added the first time the word is projected;
-a vector that a built reducibility line answered projects through that
-line's polynomials instead (`lines.LinePoint`).
+cached prefix, and kept as integer coefficients.  `project` sums a
+vector's integer numerators times the images of their words; a vector
+that a built reducibility line answered projects through that line's
+polynomials instead (`lines.LinePoint`).
 
 The quadratic factors are X_u = f2 f1 + u*h in "H" and
 X_u = f2 f1 + u*h - u(u-1)/2 in "L"; the identity suites at the bottom
@@ -30,7 +29,6 @@ exercise their shift and sandwich laws.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .cartan import CartanData
@@ -273,37 +271,23 @@ def project_word(word: tuple[int, ...], target: str) -> PBWElement:
     return PBWElement._from_ints(target, 1, _word_image(tuple(word), target))
 
 
-# (target, g1, g2) -> (cols, rows): the words projected at that grade, in
-# column order, and per output monomial a dense row of their images'
-# integer coefficients.  The key is the grade of an element's first word;
-# any word may take a column there, the key only keeps the rows short.
-_PROJECTION_ROWS: dict[tuple[str, int, int], tuple[dict, dict[Monomial, list[int]]]] = {}
-
-
 def project(elem: FreeElement, target: str) -> PBWElement:
-    """Push a free-word combination into the target algebra: the element's
-    integer form dotted with the cached integer rows of its grade, kept over
-    the element's denominator.  A vector answered by a built reducibility
-    line carries its point there (`FreeElement._line`), and its numerators
-    are the line's projected polynomials at that point, over the same
-    denominator: the same integer form, with no row read."""
+    """Push a free-word combination into the target algebra: the sum of
+    the element's integer numerators times their words' cached images,
+    kept over the element's denominator.  A vector answered by a built
+    reducibility line carries its point there (`FreeElement._line`), and
+    its numerators are the line's projected polynomials at that point,
+    over the same denominator: the same integer form, with no word read."""
     den, nums = elem.integer_form()
     line = getattr(elem, "_line", None)
     if line is not None:
         return PBWElement._from_ints(target, den, line.project(target))
-    first = next(iter(nums), ())
-    cols, rows = _PROJECTION_ROWS.setdefault((target, first.count(1), first.count(2)), ({}, {}))
-    for word in nums:
-        if word not in cols:
-            image = _word_image(word, target)
-            for key in image.keys() - rows.keys():
-                rows[key] = [0] * len(cols)
-            cols[word] = None
-            for key, row in rows.items():
-                row.append(image.get(key, 0))
-    x = [nums.get(word, 0) for word in cols]
-    sums = {key: sum(map(operator.mul, x, row)) for key, row in rows.items()}
-    return PBWElement._from_ints(target, den, {key: v for key, v in sums.items() if v})
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for word, x in nums.items():
+        for key, c in _word_image(word, target).items():
+            out[key] = get(key, 0) + x * c
+    return PBWElement._from_ints(target, den, {key: v for key, v in out.items() if v})
 
 
 # --- quadratic factors and their identity suites ----------------------------

@@ -10,12 +10,13 @@ generators.  Everything is exact rational linear algebra.
 The weight enters the e-action matrix of a grade only affinely, through
 lambda(h1) in the e1 block and lambda(h2) in the e2 block, while the
 quotient reduction does not depend on it.  So each grade's matrix is built
-once per process, as two weight-independent integer parts per block, and a
-weight costs a kernel (see `freealg.kernel_basis`) on the rows that led the
-pivots of the grade's first one-dimensional kernel, the only rows built at
-that weight, and a check in ints that the others kill it.  Each vector,
-with coefficient 1 at its lexicographically largest word, is the kernel's
-integer form; the raising action also runs on integer forms.
+once per process, as two weight-independent integer parts per block.  A
+weight builds the grade's integer rows once and costs a kernel (see
+`freealg.kernel_basis`) on the rows that led the pivots of the grade's
+first one-dimensional kernel, and a check in ints that the others kill
+it.  Each vector, with coefficient 1 at its lexicographically largest
+word, is the kernel's integer form; the raising action also runs on
+integer forms.
 
 Along a reducibility line of (root, m) the weight has one free parameter
 s (`gamma.line_parameter`), and the matrix at grade m*root is a pencil
@@ -173,27 +174,19 @@ def _e_action_blocks(g1: int, g2: int, cartan: CartanData) -> EActionBlocks:
     return blocks
 
 
-def _scaled_rows(g1: int, g2: int, weight: WeightParam, cartan: CartanData) -> list[tuple[dict[int, tuple[int, int]], int, int]]:
-    """Each cached e-action row of grade (g1, g2), e1 block first, as
-    (row, X, D) with X/D its block's z at the weight."""
-    w = weight.to_unshifted()
-    out = []
-    for i, block in _e_action_blocks(g1, g2, cartan):
-        z = w.x if i == 1 else w.y
-        out += [(row, z.numerator, z.denominator) for row in block]
-    return out
-
-
-def _row_at(row: dict[int, tuple[int, int]], X: int, D: int) -> dict[int, int]:
-    """The row at z = X/D: each entry a*z + b scaled to the integer a*X + b*D."""
-    return {col: v for col, (a, b) in row.items() if (v := a * X + b * D)}
-
-
 def _e_action_rows(g1: int, g2: int, weight: WeightParam, cartan: CartanData) -> list[dict[int, int]]:
     """The e-action matrix of grade (g1, g2) at the weight, from the cached
     blocks: one sparse integer row per target basis word, the e1 block
-    first, each row a positive multiple of the exact row."""
-    return [_row_at(*scaled) for scaled in _scaled_rows(g1, g2, weight, cartan)]
+    first.  With z = X/D the block's coordinate at the weight, each entry
+    a*z + b is scaled to the integer a*X + b*D, so each row is a positive
+    multiple of the exact row."""
+    w = weight.to_unshifted()
+    rows = []
+    for i, block in _e_action_blocks(g1, g2, cartan):
+        z = w.x if i == 1 else w.y
+        X, D = z.numerator, z.denominator
+        rows += [{col: v for col, (a, b) in row.items() if (v := a * X + b * D)} for row in block]
+    return rows
 
 
 # (p, q, g1, g2) -> (chosen, rest): the indices of the rows of a grade's
@@ -205,43 +198,31 @@ _INDEPENDENT_ROWS_CACHE: dict[tuple[int, int, int, int], tuple[list[int], list[i
 def _kernel(g1: int, g2: int, weight: WeightParam, cartan: CartanData, words: list) -> list[FreeElement]:
     """`kernel_basis` of grade (g1, g2)'s e-action matrix at the weight, as elements on the words.
 
-    The first weight whose kernel on all rows is one vector fixes the rows
-    that led its pivots, ncols - 1 of them, for the grade.  A later weight
-    builds those rows alone and solves on them, and keeps the answer when
-    it is one vector x that every other row, entries a*z + b at z = X/D,
-    kills: X*sum(a*x) + D*sum(b*x) == 0, in ints, with the row unbuilt.
-    The chosen rows then have rank ncols - 1 and the full matrix kills
-    their kernel vector, so both have the same row space and the same
-    reduced echelon form.  Anything else, a larger kernel or a row that
-    fails, is solved on all rows.  Each vector keeps the integer form the
-    kernel gives it.
+    The weight's rows are built once.  The first weight whose kernel on
+    all rows is one vector fixes the rows that led its pivots, ncols - 1
+    of them, for the grade.  A later weight solves on those rows alone,
+    and keeps the answer when it is one vector x that every other row
+    kills, by an integer dot product with x.  The chosen rows then have
+    rank ncols - 1 and the full matrix kills their kernel vector, so both
+    have the same row space and the same reduced echelon form.  Anything
+    else, a larger kernel or a row that fails, is solved on all rows.
+    Each vector keeps the integer form the kernel gives it.
     """
     key = (cartan.p, cartan.q, g1, g2)
+    rows = _e_action_rows(g1, g2, weight, cartan)
     split = _INDEPENDENT_ROWS_CACHE.get(key)
     if split is not None:
         chosen, rest = split
-        scaled = _scaled_rows(g1, g2, weight, cartan)
-        kern = kernel_basis([_row_at(*scaled[k]) for k in chosen], len(words))[0]
+        kern = kernel_basis([rows[k] for k in chosen], len(words))[0]
         if len(kern) == 1:
             x = kern[0][1]
-            if all(_kills(*scaled[k], x) for k in rest):
+            if all(sum(v * x[col] for col, v in rows[k].items()) == 0 for k in rest):
                 return _elements(kern, words)
-    rows = _e_action_rows(g1, g2, weight, cartan)
     kern, led = kernel_basis(rows, len(words))
     if split is None and len(kern) == 1:
         taken = set(led)
         _INDEPENDENT_ROWS_CACHE[key] = (led, [k for k in range(len(rows)) if k not in taken])
     return _elements(kern, words)
-
-
-def _kills(row: dict[int, tuple[int, int]], X: int, D: int, x: list[int]) -> bool:
-    """Whether the row at z = X/D is orthogonal to the integer vector x."""
-    sa = sb = 0
-    for col, (a, b) in row.items():
-        v = x[col]
-        sa += a * v
-        sb += b * v
-    return X * sa + D * sb == 0
 
 
 def _elements(kern: list[tuple[int, list[int]]], words: list) -> list[FreeElement]:

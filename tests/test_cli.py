@@ -258,7 +258,6 @@ def test_verify_report_bytes_independent_of_warm_caches(capsys):
     # its polynomial form; the acceptance grid must still give the bytes
     # pinned above
     pbw._PROJECTION_CACHE.clear()
-    pbw._PROJECTION_ROWS.clear()
     freealg._WORD_STR_CACHE.clear()
     verma._LINE_CACHE.clear()
     code, _, _ = run(capsys, ["verify", "--p", "2", "--q", "3", "--cases", "4,2", "--n", "1",

@@ -230,24 +230,11 @@ def test_warm_job_fraction_budget():
     assert all(rec.vector._coeffs is None for rec in records)
 
 
-class _RecordingRows(dict):
-    """pbw._PROJECTION_ROWS that records the grades `project` reads."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.read = []
-
-    def setdefault(self, key, default=None):
-        self.read.append(key)
-        return super().setdefault(key, default)
-
-
-def test_warm_line_job_reads_no_projection_rows(monkeypatch):
+def test_warm_line_job_reads_no_word_images(monkeypatch):
     # once the three tsweep lines are built (the (8,3) one after 63
     # solves) and a job has projected each line's polynomial kernel, a warm
-    # job's vectors come from the lines and project through P(s): no
-    # projection row is read, and the job stays within the warm budget of
-    # Fractions
+    # job's vectors come from the lines and project through P(s): no word
+    # image is read, and the job stays within the warm budget of Fractions
     families = [(CartanData(p, q), case, n, m) for p, q, case, n, m in TSWEEP_FAMILIES]
     keys = [(cd.p, cd.q, *family_root(case, n, cd), m) for cd, case, n, m in families]
     rng = random.Random(6)
@@ -259,14 +246,19 @@ def test_warm_line_job_reads_no_projection_rows(monkeypatch):
             jobs += 1
         assert jobs == 64
         _warm_job(families, Fraction(rng.randint(-999, 999), rng.randint(1, 999)))
-        rows = _RecordingRows(pbw._PROJECTION_ROWS)
-        monkeypatch.setattr(pbw, "_PROJECTION_ROWS", rows)
+        read, word_image = [], pbw._word_image
+
+        def recording(word, target):
+            read.append((word, target))
+            return word_image(word, target)
+
+        monkeypatch.setattr(pbw, "_word_image", recording)
         t = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         profile = cProfile.Profile()
         profile.enable()
         records, text = _warm_job(families, t)
         profile.disable()
-        assert rows.read == []
+        assert read == []
         assert all(rec.vector._line is not None for rec in records)
         built = sum(
             stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()

@@ -211,36 +211,6 @@ def test_project_is_sum_of_scaled_word_images():
     assert fractional["H"] and fractional["L"]
 
 
-def _clear_projection_caches():
-    pbw._PROJECTION_CACHE.clear()
-    pbw._PROJECTION_ROWS.clear()
-
-
-@pytest.mark.parametrize("tg", ["H", "L"])
-def test_project_rows_match_word_images_in_any_first_seen_order(tg):
-    # elements of one grade and of mixed lengths, projected from cold caches
-    # with their words first seen in shuffled orders, then again once every
-    # column exists, equal the sum of their scaled word images
-    rng = random.Random(17)
-    grade = [w for w in itertools.product((1, 2), repeat=7) if w.count(1) == 4]
-    elems = [FreeElement({w: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for w in rng.sample(grade, 9)})
-             for _ in range(12)]
-    elems += [FreeElement({w: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for w in rng.sample(SHORT_WORDS, 6)})
-              for _ in range(12)]
-    expected = [_scaled_images(e, tg) for e in elems]
-    try:
-        for order in range(3):
-            _clear_projection_caches()
-            shuffled = list(range(len(elems)))
-            random.Random(order).shuffle(shuffled)
-            for k in shuffled:
-                assert project(elems[k], tg) == expected[k], (order, k)
-            for k in range(len(elems)):
-                assert project(elems[k], tg) == expected[k], (order, k)
-    finally:
-        _clear_projection_caches()
-
-
 def test_project_returns_fresh_element():
     word = (1, 2, 1)
     cached = dict(project_word(word, "L").coeffs)

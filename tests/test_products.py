@@ -106,7 +106,8 @@ def test_expand_product_matches_factor_by_factor(p, q):
     # every family build_product accepts with n <= 2 and m <= 3, in both
     # targets, at xi = 0, an integer, a xi where one subscript vanishes and
     # a seeded random rational, of random_rational size for every other
-    # family
+    # family.  The first xi multiplies the product out afresh; the others
+    # evaluate the target's product polynomial, built once
     cd = CartanData(p, q)
     rng = random.Random(p * 10 + q)
     built = 0
@@ -125,8 +126,9 @@ def test_expand_product_matches_factor_by_factor(p, q):
                     xis.append(-moving[-1].c0 / moving[-1].cv)
                     assert moving[-1].at(0, xis[-1]) == 0
                 for target in TARGETS:
-                    for xi in xis:
-                        got = expand_product(spec, xi, target)
+                    polynomial = products._product_polynomial(spec, target)
+                    for k, xi in enumerate(xis):
+                        got = expand_product(spec, xi, target, polynomial=polynomial if k else None)
                         assert repr(got) == repr(_factor_by_factor(spec, xi, target)), (case, n, m, target, xi)
     assert built >= 15
 

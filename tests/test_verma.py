@@ -281,7 +281,6 @@ def _clear_caches():
     verma._INDEPENDENT_ROWS_CACHE.clear()
     verma._LINE_CACHE.clear()
     pbw._PROJECTION_CACHE.clear()
-    pbw._PROJECTION_ROWS.clear()
     freealg._WORD_STR_CACHE.clear()
     products._FAMILY_CACHE.clear()
 
@@ -431,8 +430,8 @@ def test_critical_line_kernel_dims_are_partition_numbers(p, q, delta, top, monke
 def test_results_independent_of_warm_caches():
     # (2,2) case 2, n = 1, m = 3 at t = 2/9, from cleared caches, then again
     # after other t values and other grades (whose quotients, e-action
-    # blocks, word images, projection rows, word strings and families'
-    # factor products overlap) have warmed every cache, and the line of
+    # blocks, word images, word strings and families' factor products
+    # overlap) have warmed every cache, and the line of
     # this family has built its polynomial form, which then gives the warm
     # answer; the reprs match too, and so do the family's records, whose
     # products come from its cached product polynomials once warm
@@ -466,7 +465,7 @@ def test_results_independent_of_warm_caches():
                     expand_product(build_product(case, n, m, cd), form.at(m, t) if form else Fraction(0), tg)
                 products.end_to_end(case, n, m, cd, t_samples=(t,))
         key = _force_line_build(cd, 2, 1, 3, random.Random(9))
-        assert (2, 1, 3, cd) in products._FAMILY_CACHE and pbw._PROJECTION_ROWS and freealg._WORD_STR_CACHE
+        assert (2, 1, 3, cd) in products._FAMILY_CACHE and pbw._PROJECTION_CACHE and freealg._WORD_STR_CACHE
         form = verma._LINE_CACHE[key]
         assert type(form) is tuple
         words = graded_quotient(*cold[0].grade, cd).basis_words
@@ -480,13 +479,13 @@ def test_results_independent_of_warm_caches():
 
 @pytest.mark.parametrize("p,q", ORACLE_PAIRS)
 def test_warm_split_path_matches_all_rows(p, q, monkeypatch):
-    # once a grade's rows are split, each t builds only the chosen rows and
-    # checks the others without building them; at every family grade with
-    # g1 + g2 <= 9 that must give what eliminating every row gives, vectors
-    # and dimension, at seeded t, and at (2,2), cases 2 and 4 with m = 3,
-    # also at t = -3/2, where the kernel has dimension 3 and only the
-    # all-rows path can give it.  Every line's polynomial form is refused,
-    # so that no t leaves the split path for the line path
+    # once a grade's rows are split, each t solves on the chosen rows alone
+    # and checks the others by their dot product with its vector; at every
+    # family grade with g1 + g2 <= 9 that must give what eliminating every
+    # row gives, vectors and dimension, at seeded t, and at (2,2), cases 2
+    # and 4 with m = 3, also at t = -3/2, where the kernel has dimension 3
+    # and only the all-rows path can give it.  Every line's polynomial form
+    # is refused, so that no t leaves the split path for the line path
     cd = CartanData(p, q)
     rng = random.Random(p * 100 + q)
     calls = []
