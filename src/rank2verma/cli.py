@@ -86,6 +86,19 @@ def _weight_from_args(args) -> WeightParam:
     return w
 
 
+def _weight_params(args) -> dict:
+    """The params of `kk` and `singular`: the algebra, root, m and weight."""
+    return {
+        "p": args.p,
+        "q": args.q,
+        "root": args.root,
+        "m": args.m,
+        "x": _rat(_parse_fraction(args.x)),
+        "y": _rat(_parse_fraction(args.y)),
+        "coords": args.coords,
+    }
+
+
 def cmd_orbit(args) -> tuple[dict, list[dict], int]:
     cartan = CartanData(args.p, args.q)
     start = RootVector(*_parse_pair(args.start, "--start"))
@@ -201,16 +214,7 @@ def cmd_kk(args) -> tuple[dict, list[dict], int]:
     weight = _weight_from_args(args)
     on_line = kac_kazhdan(weight, root, args.m, cartan)
     rows = [{"on_line": on_line}]
-    params = {
-        "p": args.p,
-        "q": args.q,
-        "root": args.root,
-        "m": args.m,
-        "x": _rat(_parse_fraction(args.x)),
-        "y": _rat(_parse_fraction(args.y)),
-        "coords": args.coords,
-    }
-    return ({"params": params, "results": rows}, rows, 0)
+    return ({"params": _weight_params(args), "results": rows}, rows, 0)
 
 
 def cmd_singular(args) -> tuple[dict, list[dict], int]:
@@ -233,17 +237,8 @@ def cmd_singular(args) -> tuple[dict, list[dict], int]:
                     "annihilated": ann,
                 }
             )
-    params = {
-        "p": args.p,
-        "q": args.q,
-        "root": args.root,
-        "m": args.m,
-        "x": _rat(_parse_fraction(args.x)),
-        "y": _rat(_parse_fraction(args.y)),
-        "coords": args.coords,
-    }
     payload = {
-        "params": params,
+        "params": _weight_params(args),
         "summary": {
             "grade": {"g1": res.grade[0], "g2": res.grade[1]},
             "quotient_dim": res.quotient_dim,
@@ -265,14 +260,6 @@ def _element_doc(elem, sep: str) -> dict | None:
     if elem is None:
         return None
     return {sep.join(map(str, k)): text for k, text in zip(*elem.coefficient_texts())}
-
-
-def _vector_doc(vec) -> dict | None:
-    return _element_doc(vec, "")
-
-
-def _pbw_doc(elem) -> dict | None:
-    return _element_doc(elem, ",")
 
 
 # fixed parameter grid for the verify-time identity pass
@@ -341,9 +328,9 @@ def cmd_verify(args) -> tuple[dict, list[dict], int]:
                             "scalar": _rat(rec.scalar),
                             "reason": rec.reason,
                             "weight": _weight_doc(rec.weight),
-                            "vector": _vector_doc(rec.vector),
-                            "projection": _pbw_doc(rec.projection),
-                            "product": _pbw_doc(rec.product),
+                            "vector": _element_doc(rec.vector, ""),
+                            "projection": _element_doc(rec.projection, ","),
+                            "product": _element_doc(rec.product, ","),
                         }
                     )
     params = {

@@ -255,9 +255,9 @@ class FreeElement(IntegerForm):
     integer form keyed by words.
 
     `_line` is set only on a kernel vector answered by a built reducibility
-    line (`lines.kernel_at`): the line's form at that point, which
-    `pbw.project` reads in place of the vector's words.  Arithmetic results
-    carry none."""
+    line (`lines.Line.kernel_at`): (line, w, g), the line with its power
+    vector and gcd at that point, which `pbw.project` reads in place of the
+    vector's words.  Arithmetic results carry none."""
 
     __slots__ = ("_line",)
 

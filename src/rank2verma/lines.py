@@ -1,25 +1,27 @@
-"""The kernel of a grade's e-action matrix along a reducibility line, as
-polynomials in the line parameter.
+"""A reducibility line's kernel as polynomials in the line parameter.
 
 Along the line of (root, m) the weight has one free parameter s
 (`gamma.line_parameter`), and each e-action row of grade m*root, scaled by
 a constant, is a pencil row {column: (A, B)} with entries A*s + B
-(`verma._line_pencil`).  `line_form` turns the rows that a grade's split
-chose into D(s), their determinant without their free column, and v(s),
-the kernel vector of least degree, and keeps them only if every row kills
-v(s) coefficient by coefficient.  Everything is in integers: the rows'
-maximal minors at s = 0..n-1 (`freealg.maximal_minors`), Newton
+(`_pencil`).  `build` makes the line's `Line` on demand, in a cold process
+as well as a warm one: its n - 1 rows are those that led the pivots of one
+all-rows `freealg.kernel_basis` at the first node s = 0, 1, 2, ... whose
+kernel is one vector, so D(s), their determinant without their free
+column, depends only on (p, q, root, m).  v(s), the kernel vector of least
+degree, comes from the same rows, and the line is kept only if every row
+kills v(s) coefficient by coefficient.  Everything is in integers: the
+rows' maximal minors at s = 0..n-1 (`freealg.maximal_minors`), Newton
 interpolation, and a primitive pseudo-remainder gcd.
 
-`kernel_at` answers a weight on a built line: D(s) != 0, shown by the
+`Line.kernel_at` answers a weight on a built line: D(s) != 0, shown by the
 rational root theorem or else by evaluation, certifies that the kernel has
 dimension at most 1, and the nonzero v(s) spans it.  The projection into a
 target is linear, so v(s) projects to polynomials P(s), one per output
-monomial; `_projected` builds them once per form and target from
-`pbw.project` of v's coefficient vectors, and the vector `kernel_at`
-returns carries the point (`LinePoint`), so that `pbw.project` evaluates
-P(s) on the same power vector as v(s) instead of reading the vector's
-words.  A form is a tuple that `verma` only stores and hands back.
+monomial; `Line.project` builds them once per target from `pbw.project` of
+v's coefficient vectors.  The vector `kernel_at` returns carries the line,
+its power vector and its gcd, so that `pbw.project` evaluates P(s) on the
+same power vector as v(s) instead of reading the vector's words.  No other
+module reads a line's polynomials.
 
 `verma` imports this module on a line's first build, so that a process
 that never builds one, a cold job most of all, does not compile it.
@@ -30,91 +32,126 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .freealg import FreeElement, maximal_minors
+from .cartan import CartanData, RootVector
+from .freealg import FreeElement, graded_quotient, kernel_basis, maximal_minors
+from .gamma import line_coordinates
+from .verma import _e_action_blocks
 
 
-def line_form(pencil: list[dict[int, tuple[int, int]]], chosen: list[int]) -> tuple | None:
-    """(D, v, d, projections) from the pencil rows at the indices `chosen`
-    (`line_polynomials`), or None where the build is refused: there, or
-    where some row of the pencil, chosen or not, does not kill v(s)
-    coefficient by coefficient.  A kept form has M(s)v(s) = 0 for every s.
-    `projections` starts empty; `LinePoint.project` fills it, one target
-    at a time.
-    """
-    form = line_polynomials([pencil[k] for k in chosen])
-    if form is None or not all(_kills_identically(row, form) for row in pencil):
-        return None
-    return (*form, {})
+class Line:
+    """The kernel of grade m*root along the reducibility line of (root, m):
+    D(s) and v(s) (`line_polynomials`), v's degree d, the grade's basis
+    words, and the projections P(s) per target, built on first use."""
 
+    __slots__ = ("D", "v", "d", "words", "projections")
 
-def kernel_at(form: tuple, S: int, E: int, words: list) -> FreeElement | None:
-    """The kernel at the line parameter s = S/E, in lowest terms with E > 0
-    (as `gamma.line_parameter` gives it), from a kept form, as its one
-    vector on the grade's basis `words` in `freealg.kernel_basis`'s normal
-    form, or None where D(s) = 0 or v(s) = 0.
+    def __init__(self, D: list[int], v: dict[int, list[int]], d: int, words: list):
+        self.D, self.v, self.d, self.words = D, v, d, words
+        self.projections: dict[str, dict] = {}
 
-    D(s) != 0 gives the chosen rows rank len(words) - 1, so the kernel has
-    dimension at most 1, and every row kills v(s), so v(s) != 0 spans it.
-    D(s) != 0 is certified by divisibility where it can be
-    (`_not_a_root`), and otherwise by Horner's rule in ints.  v's entries,
-    all of degree d, are dot products with one power vector
-    w_k = S^k * E^(d-k), so their common factor E^d goes with the normal
-    form's gcd g.  The vector carries w and g (`LinePoint`), from which
-    `pbw.project` reads its projections.
-    """
-    D, v, d, _ = form
-    if not (_not_a_root(D, S, E) or _poly_at(D, S, E)):
-        return None
-    w = [S**k * E ** (d - k) for k in range(d + 1)]
-    nums = {j: c for j, poly in v.items() if (c := sum(map(mul, poly, w)))}
-    if not nums:
-        return None
-    top = nums[max(nums)]
-    g = math.gcd(*nums.values())
-    g = g if top > 0 else -g
-    vec = FreeElement._from_ints(top // g, {words[j]: c // g for j, c in nums.items()})
-    vec._line = LinePoint(form, words, w, g)
-    return vec
+    def kernel_at(self, S: int, E: int) -> FreeElement | None:
+        """The kernel at the line parameter s = S/E, in lowest terms with
+        E > 0 (as `gamma.line_parameter` gives it), as its one vector on
+        the grade's basis words in `freealg.kernel_basis`'s normal form, or
+        None where D(s) = 0 or v(s) = 0.
 
+        D(s) != 0 gives the line's rows rank len(words) - 1, so the kernel
+        has dimension at most 1, and every row kills v(s), so v(s) != 0
+        spans it.  D(s) != 0 is certified by divisibility where it can be
+        (`_not_a_root`), and otherwise by Horner's rule in ints.  v's
+        entries, all of degree d, are dot products with one power vector
+        w_k = S^k * E^(d-k), so their common factor E^d goes with the
+        normal form's gcd g.  The vector carries (line, w, g), from which
+        `pbw.project` reads its projections (`project`).
+        """
+        D, d = self.D, self.d
+        if not (_not_a_root(D, S, E) or _poly_at(D, S, E)):
+            return None
+        w = [S**k * E ** (d - k) for k in range(d + 1)]
+        nums = {j: c for j, poly in self.v.items() if (c := sum(map(mul, poly, w)))}
+        if not nums:
+            return None
+        top = nums[max(nums)]
+        g = math.gcd(*nums.values())
+        g = g if top > 0 else -g
+        words = self.words
+        vec = FreeElement._from_ints(top // g, {words[j]: c // g for j, c in nums.items()})
+        vec._line = (self, w, g)
+        return vec
 
-class LinePoint:
-    """A kept form at one point s = S/E, as the vector `kernel_at` gives
-    there carries it: the grade's basis words, the power vector w and the
-    gcd g that v(s) was divided by."""
-
-    __slots__ = ("form", "words", "w", "g")
-
-    def __init__(self, form: tuple, words: list, w: list[int], g: int):
-        self.form, self.words, self.w, self.g = form, words, w, g
-
-    def project(self, target: str) -> dict:
-        """The vector's `pbw.project` numerators over its own denominator:
-        {monomial: P(S, E) // g}, nonzero only, with P(s) the projection of
-        v(s) (`_projected`), built once per form and target."""
-        projections = self.form[3]
-        P = projections.get(target)
+    def project(self, target: str, w: list[int], g: int) -> dict:
+        """The `pbw.project` numerators of the vector `kernel_at` gave at
+        the power vector w, over its own denominator: {monomial:
+        P(S, E) // g}, nonzero only, with P(s) the projection of v(s)
+        (`_projected`), built once per target."""
+        P = self.projections.get(target)
         if P is None:
-            P = projections[target] = _projected(self.form, self.words, target)
-        w, g = self.w, self.g
+            P = self.projections[target] = self._projected(target)
         return {key: c // g for key, poly in P.items() if (c := sum(map(mul, poly, w)))}
 
+    def _projected(self, target: str) -> dict:
+        """P(s), the projection of v(s) into the target, as {monomial:
+        d + 1 integer coefficients}: `pbw.project` of each coefficient
+        vector v_k of v(s) = sum(v_k * s^k) gives the coefficients of s^k,
+        since projecting is linear.  So P(s) = project(v(s)) identically,
+        and the projection rule stays written once, in `pbw`."""
+        from .pbw import project
 
-def _projected(form: tuple, words: list, target: str) -> dict:
-    """P(s), the projection of v(s) into the target, as {monomial: d + 1
-    integer coefficients}: `pbw.project` of each coefficient vector v_k of
-    v(s) = sum(v_k * s^k) gives the coefficients of s^k, since projecting
-    is linear.  So P(s) = project(v(s)) identically, and the projection
-    rule stays written once, in `pbw`."""
-    from .pbw import project
+        v, d, words = self.v, self.d, self.words
+        P: dict = {}
+        for k in range(d + 1):
+            nums = {words[j]: poly[k] for j, poly in v.items() if poly[k]}
+            if nums:
+                for key, c in project(FreeElement._from_ints(1, nums), target).integer_form()[1].items():
+                    P.setdefault(key, [0] * (d + 1))[k] = c
+        return P
 
-    _, v, d, _ = form
-    P: dict = {}
-    for k in range(d + 1):
-        nums = {words[j]: poly[k] for j, poly in v.items() if poly[k]}
-        if nums:
-            for key, c in project(FreeElement._from_ints(1, nums), target).integer_form()[1].items():
-                P.setdefault(key, [0] * (d + 1))[k] = c
-    return P
+
+def build(root: RootVector, m: int, cartan: CartanData) -> Line | None:
+    """The line of (root, m), or None where the build is refused.
+
+    Its rows are the n - 1 pencil rows that led the pivots of
+    `kernel_basis` on every row at the first node s = 0..n-1 whose kernel
+    is one vector; without such a node the build is refused.  Where the
+    kernel is one vector generically, some (n-1)-minor is a nonzero
+    polynomial of degree at most n - 1, so some node among n is such a
+    node.  The build is also refused where
+    `line_polynomials` refuses those rows, or where some row, led or not,
+    does not kill v(s) coefficient by coefficient.  A kept line has
+    M(s)v(s) = 0 for every s.
+    """
+    words = graded_quotient(m * root.k1, m * root.k2, cartan).basis_words
+    n = len(words)
+    pencil = _pencil(root, m, cartan)
+    for s in range(n):
+        kern, led = kernel_basis(_rows_at(pencil, s), n)
+        if len(kern) == 1:
+            break
+    else:
+        return None
+    polys = line_polynomials([pencil[k] for k in led])
+    if polys is None or not all(_kills_identically(row, polys) for row in pencil):
+        return None
+    return Line(*polys, words)
+
+
+def _pencil(root: RootVector, m: int, cartan: CartanData) -> list[dict[int, tuple[int, int]]]:
+    """Every cached e-action row of grade m*root (`verma._e_action_blocks`),
+    e1 block first, along the reducibility line of (root, m), as
+    {column: (A, B)}: on the line z = (alpha*s + beta)/gamma
+    (`line_coordinates`), so an entry a*z + b times gamma is A*s + B with
+    A = a*alpha and B = a*beta + b*gamma."""
+    coords = line_coordinates(root, m, cartan)
+    rows = []
+    for i, block in _e_action_blocks(m * root.k1, m * root.k2, cartan):
+        alpha, beta, gamma = coords[i - 1]
+        rows += [{col: (a * alpha, a * beta + b * gamma) for col, (a, b) in row.items()} for row in block]
+    return rows
+
+
+def _rows_at(pencil: list[dict[int, tuple[int, int]]], s: int) -> list[dict[int, int]]:
+    """The pencil's rows at the integer s, as sparse {column: nonzero int}."""
+    return [{col: v for col, (a, b) in row.items() if (v := a * s + b)} for row in pencil]
 
 
 def line_polynomials(chosen: list[dict[int, tuple[int, int]]]) -> tuple | None:
@@ -135,10 +172,7 @@ def line_polynomials(chosen: list[dict[int, tuple[int, int]]]) -> tuple | None:
     """
     n = len(chosen) + 1
     nodes = range(n)
-    w = []
-    for s in nodes:
-        rows = [{col: v for col, (a, b) in row.items() if (v := a * s + b)} for row in chosen]
-        w.append(maximal_minors(rows, n))
+    w = [maximal_minors(_rows_at(chosen, s), n) for s in nodes]
     cols = [j for j in range(n) if any(ws[j] for ws in w)]
     if not cols:
         return None
@@ -162,10 +196,10 @@ def line_polynomials(chosen: list[dict[int, tuple[int, int]]]) -> tuple | None:
     return (D, {j: [c // content for c in poly] + [0] * (d + 1 - len(poly)) for j, poly in v.items()}, d)
 
 
-def _kills_identically(row: dict[int, tuple[int, int]], form: tuple) -> bool:
+def _kills_identically(row: dict[int, tuple[int, int]], polys: tuple) -> bool:
     """Whether sum((A*s + B) * v_col(s)) over the pencil row is the zero
-    polynomial."""
-    _, v, d = form
+    polynomial, with v and d from `line_polynomials`' (D, v, d)."""
+    _, v, d = polys
     acc = [0] * (d + 2)
     for col, (A, B) in row.items():
         for k, c in enumerate(v.get(col, ())):

@@ -19,7 +19,7 @@ images keyed by (target, word): each image is built once, from its longest
 cached prefix, and kept as integer coefficients.  `project` sums a
 vector's integer numerators times the images of their words; a vector
 that a built reducibility line answered projects through that line's
-polynomials instead (`lines.LinePoint`).
+polynomials instead (`lines.Line.project`).
 
 The quadratic factors are X_u = f2 f1 + u*h in "H" and
 X_u = f2 f1 + u*h - u(u-1)/2 in "L"; the identity suites at the bottom
@@ -275,13 +275,15 @@ def project(elem: FreeElement, target: str) -> PBWElement:
     """Push a free-word combination into the target algebra: the sum of
     the element's integer numerators times their words' cached images,
     kept over the element's denominator.  A vector answered by a built
-    reducibility line carries its point there (`FreeElement._line`), and
-    its numerators are the line's projected polynomials at that point,
-    over the same denominator: the same integer form, with no word read."""
+    reducibility line carries the line, its power vector w and its gcd g
+    there (`FreeElement._line`), and its numerators are the line's
+    projected polynomials at that point, over the same denominator: the
+    same integer form, with no word read."""
     den, nums = elem.integer_form()
-    line = getattr(elem, "_line", None)
-    if line is not None:
-        return PBWElement._from_ints(target, den, line.project(target))
+    point = getattr(elem, "_line", None)
+    if point is not None:
+        line, w, g = point
+        return PBWElement._from_ints(target, den, line.project(target, w, g))
     out: dict[Monomial, int] = {}
     get = out.get
     for word, x in nums.items():

@@ -20,19 +20,20 @@ integer forms.
 
 Along a reducibility line of (root, m) the weight has one free parameter
 s (`gamma.line_parameter`), and the matrix at grade m*root is a pencil
-M(s) = M0 + s*M1 whose kernel has a polynomial basis vector v(s).  Once
-the exact path has solved a line as many times as the grade's quotient
-dimension n, that line's form is built once (`lines.line_form`): D(s),
-the determinant of the grade's n - 1 chosen rows without their free
-column, and v(s) of least degree, both interpolated from the rows' maximal
-minors at s = 0..n-1 and kept only if every row, chosen or not, kills
-v(s) coefficient by coefficient.  A weight on a built line then costs
-polynomial evaluations in ints (`lines.kernel_at`): D(s) != 0 certifies
-that the kernel has dimension at most 1, so the nonzero v(s) spans it,
-and the vector carries the line's point, from which `pbw.project` reads
+M(s) = M0 + s*M1 whose kernel has a polynomial basis vector v(s).  Each
+line has one entry here: the number of exact solves on it, until that
+reaches the grade's quotient dimension n; then its `lines.Line`, built
+once by `lines.build`, which takes its rows from the first node
+s = 0, 1, 2, ... whose kernel is one vector, so that the line does not
+depend on which weights were solved before.  A weight on a built line then
+costs polynomial evaluations in ints (`Line.kernel_at`): D(s) != 0
+certifies that the kernel has dimension at most 1, so the nonzero v(s)
+spans it, and the vector carries the line, from which `pbw.project` reads
 its projection as the line's projected polynomials P(s).  Where D(s) = 0,
 off the line, and on a line whose build was refused, the exact path
-answers as before.
+answers as before.  The count keeps a process that solves a line only a
+few times, a cold job most of all, from paying for a build or compiling
+`lines`.
 
 SingularVectorResult is an immutable namedtuple: hashed and compared as its
 field tuple, so also iterable, orderable and equal to a plain tuple.
@@ -51,7 +52,7 @@ from .freealg import (
     graded_quotient,
     kernel_basis,
 )
-from .gamma import WeightParam, line_coordinates, line_parameter
+from .gamma import WeightParam, line_parameter
 
 
 def e_action(i: int, elem: FreeElement, weight: WeightParam, cartan: CartanData) -> FreeElement:
@@ -231,40 +232,8 @@ def _elements(kern: list[tuple[int, list[int]]], words: list) -> list[FreeElemen
 
 # (p, q, a, b, m) -> the reducibility line of (root (a, b), m): the number
 # of exact solves on it so far, until that reaches its grade's quotient
-# dimension; then its polynomial form from `_line_form`, a tuple that only
-# `lines` reads and that holds the line's projections once they are built,
-# or None where the build was refused
-_LINE_CACHE: dict[tuple[int, int, int, int, int], int | tuple | None] = {}
-
-
-def _line_pencil(g1: int, g2: int, root: RootVector, m: int, cartan: CartanData) -> list[dict[int, tuple[int, int]]]:
-    """Every cached e-action row of grade (g1, g2), e1 block first, along
-    the reducibility line of (root, m), as {column: (A, B)}: on the line
-    z = (alpha*s + beta)/gamma (`line_coordinates`), so an entry a*z + b
-    times gamma is A*s + B with A = a*alpha and B = a*beta + b*gamma."""
-    coords = line_coordinates(root, m, cartan)
-    rows = []
-    for i, block in _e_action_blocks(g1, g2, cartan):
-        alpha, beta, gamma = coords[i - 1]
-        rows += [{col: (a * alpha, a * beta + b * gamma) for col, (a, b) in row.items()} for row in block]
-    return rows
-
-
-def _line_form(root: RootVector, m: int, cartan: CartanData) -> tuple | None:
-    """The kernel of grade m*root along the reducibility line of (root, m)
-    as polynomials in the line parameter s (`lines.line_form`), from the
-    rows that the grade's split chose; None where the build is refused.
-
-    `lines` is imported on the first build, so that a process that never
-    builds a line does not compile it.
-    """
-    from . import lines
-
-    g1, g2 = m * root.k1, m * root.k2
-    split = _INDEPENDENT_ROWS_CACHE.get((cartan.p, cartan.q, g1, g2))
-    if split is None:
-        return None
-    return lines.line_form(_line_pencil(g1, g2, root, m, cartan), split[0])
+# dimension; then its `lines.Line`, or None where the build was refused
+_LINE_CACHE: dict[tuple[int, int, int, int, int], object] = {}
 
 
 def singular_vectors(
@@ -273,9 +242,9 @@ def singular_vectors(
     """All singular vectors at grade m*root for the given highest weight.
 
     On the reducibility line of (root, m), once the exact path has solved
-    the line as many times as the grade's quotient dimension, the line's
-    polynomial form is built once and answers wherever its certificate
-    holds; every other weight, and every point where D vanishes, is solved
+    the line as many times as the grade's quotient dimension, the line is
+    built once (`lines.build`) and answers wherever its certificate holds;
+    every other weight, and every point where D vanishes, is solved
     exactly by `_kernel`.
     """
     if m < 1:
@@ -289,16 +258,17 @@ def singular_vectors(
     vector = None
     if point is not None:
         key = (cartan.p, cartan.q, root.k1, root.k2, m)
-        form = _LINE_CACHE.get(key, 0)
-        if type(form) is int:
-            if form < source.dim:
-                _LINE_CACHE[key] = form + 1
+        line = _LINE_CACHE.get(key, 0)
+        if type(line) is int:
+            if line < source.dim:
+                _LINE_CACHE[key] = line + 1
+                line = None
             else:
-                form = _LINE_CACHE[key] = _line_form(root, m, cartan)
-        if type(form) is tuple:
-            from . import lines
+                from . import lines
 
-            vector = lines.kernel_at(form, *point, source.basis_words)
+                line = _LINE_CACHE[key] = lines.build(root, m, cartan)
+        if line is not None:
+            vector = line.kernel_at(*point)
     # each kernel vector has a 1 at its highest nonzero column: the largest word
     if vector is not None:
         vectors = [vector]

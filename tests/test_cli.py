@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rank2verma import freealg, pbw, verma
+from rank2verma import freealg, lines, pbw, verma
 from rank2verma.cartan import CartanData, family_root
 from rank2verma.cli import main
 
@@ -268,7 +268,7 @@ def test_verify_report_bytes_independent_of_warm_caches(capsys):
         assert run(capsys, grid + ["--seed", str(seed)])[0] == 0
     cd = CartanData(2, 2)
     roots = [family_root(case, n, cd) for case in (1, 2, 3, 4) for n in (1, 2)]
-    assert all(type(verma._LINE_CACHE[(2, 2, r.k1, r.k2, 1)]) is tuple for r in roots)
+    assert all(isinstance(verma._LINE_CACHE[(2, 2, r.k1, r.k2, 1)], lines.Line) for r in roots)
     code, out, err = run(capsys, grid + ["--seed", "7"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -303,6 +303,31 @@ def test_cli_import_skips_heavy_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "[]"
+
+
+LINES_LOADED = """
+import contextlib, io, sys
+from rank2verma import cli, verma
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+built = sum(type(entry) is not int for entry in verma._LINE_CACHE.values())
+print(code, built, "rank2verma.lines" in sys.modules)
+"""
+
+
+def test_lines_module_loads_on_a_first_build_only():
+    # `lines` is compiled only when a line is built: a verify that solves
+    # no line often enough to build it leaves it unloaded, and the
+    # acceptance grid, which builds four lines, loads it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("VERMA_GRADE_CAP", None)
+    out = []
+    for args in ("--p 2 --q 3 --cases 4 --n 1 --m 2", "--p 2 --q 2 --cases 1,2,3,4 --n 1,2 --m 1"):
+        argv = [sys.executable, "-S", "-c", LINES_LOADED, "verify", *args.split()]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out == [["0", "0", "False"], ["0", "4", "True"]]
 
 
 def test_report_into_closed_pipe_exits_quietly():

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma import pbw, products, verma
+from rank2verma import lines, pbw, products, verma
 from rank2verma.cartan import CartanData, family_root
-from rank2verma.cli import _pbw_doc, _vector_doc
+from rank2verma.cli import _element_doc
 from rank2verma.freealg import FreeElement, _fraction_str, graded_quotient, word_str, words_of_grade
 from rank2verma.gamma import WeightParam
 from rank2verma.pbw import PBWElement
@@ -58,10 +58,10 @@ def test_free_element_repr_matches_fraction_rendering():
             fresh = FreeElement._from_ints(den, dict(nums))
             read(fresh)
             assert repr(fresh) == repr(fresh) == expected
-        assert _vector_doc(elem) == {"".join(map(str, w)): str(c) for w, c in sorted(coeffs.items())}
-        assert list(_vector_doc(elem)) == ["".join(map(str, w)) for w in sorted(nums)]
+        assert _element_doc(elem, "") == {"".join(map(str, w)): str(c) for w, c in sorted(coeffs.items())}
+        assert list(_element_doc(elem, "")) == ["".join(map(str, w)) for w in sorted(nums)]
     zero = FreeElement._from_ints(7, {})
-    assert repr(zero) == repr(FreeElement()) == "0" and _vector_doc(zero) == {}
+    assert repr(zero) == repr(FreeElement()) == "0" and _element_doc(zero, "") == {}
 
 
 @pytest.mark.parametrize("tg", ["H", "L"])
@@ -76,11 +76,11 @@ def test_pbw_repr_matches_fraction_rendering(tg):
         assert repr(elem) == repr(PBWElement(tg, coeffs)) == expected
         assert elem.coeffs == coeffs and elem == PBWElement(tg, coeffs) and hash(elem) == hash(PBWElement(tg, coeffs))
         assert repr(elem) == expected
-        doc = _pbw_doc(elem)
+        doc = _element_doc(elem, ",")
         assert doc == {f"{a},{b},{c}": str(co) for (a, b, c), co in sorted(coeffs.items())}
         assert list(doc) == [f"{a},{b},{c}" for a, b, c in sorted(nums)]
     zero = PBWElement._from_ints(tg, 3, {})
-    assert repr(zero) == repr(PBWElement(tg)) == f"PBWElement({tg}, 0)" and _pbw_doc(zero) == {}
+    assert repr(zero) == repr(PBWElement(tg)) == f"PBWElement({tg}, 0)" and _element_doc(zero, ",") == {}
 
 
 @pytest.mark.parametrize("space", ["free", "H", "L"])
@@ -91,13 +91,11 @@ def test_renderer_edge_cases(space):
     # and more, of either sign, over small and large denominators, and the
     # zero element; each checked against Fraction's own text
     if space == "free":
-        keys, key_str, make, doc = words_of_grade(3, 3), word_str, FreeElement._from_ints, _vector_doc
-        doc_key, zero = "".join, "0"
+        keys, key_str, make, sep, zero = words_of_grade(3, 3), word_str, FreeElement._from_ints, "", "0"
     else:
         keys = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-        key_str, doc = pbw._mono_str, _pbw_doc
+        key_str, sep, zero = pbw._mono_str, ",", f"PBWElement({space}, 0)"
         make = lambda den, nums: PBWElement._from_ints(space, den, nums)  # noqa: E731
-        doc_key, zero = ",".join, f"PBWElement({space}, 0)"
     big = 2**200
     forms = [
         (36, {k: 6 * c for k, c in zip(keys, (1, -5, 7, 11, -13, 25))}),
@@ -114,7 +112,7 @@ def test_renderer_edge_cases(space):
         assert repr(elem) == (" + ".join(f"({coeffs[k]})*{key_str(k)}" for k in order) or zero)
         assert elem.coefficient_texts() == (order, [str(coeffs[k]) for k in order])
         assert [_fraction_str(nums[k], den) for k in order] == [str(coeffs[k]) for k in order]
-        assert list(doc(elem).items()) == [(doc_key(map(str, k)), str(coeffs[k])) for k in order]
+        assert list(_element_doc(elem, sep).items()) == [(sep.join(map(str, k)), str(coeffs[k])) for k in order]
     # the shared gcd and the integer entries rendered as such
     assert repr(make(36, {keys[0]: 6, keys[1]: -30})) == f"(1/6)*{key_str(keys[0])} + (-5/6)*{key_str(keys[1])}"
     assert make(7, {keys[0]: 7, keys[1]: 3}).coefficient_texts()[1] == ["1", "3/7"]
@@ -241,7 +239,7 @@ def test_warm_line_job_reads_no_word_images(monkeypatch):
     verma._LINE_CACHE.clear()
     try:
         jobs = 0
-        while not all(type(verma._LINE_CACHE.get(key)) is tuple for key in keys):
+        while not all(isinstance(verma._LINE_CACHE.get(key), lines.Line) for key in keys):
             _warm_job(families, Fraction(rng.randint(-999, 999), rng.randint(1, 999)))
             jobs += 1
         assert jobs == 64

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rank2verma import freealg, products, verma
+from rank2verma import freealg, lines, products, verma
 from rank2verma.cartan import CartanData, family_root
 from rank2verma.freealg import kernel_basis
 from rank2verma.gamma import AffineForm, GammaTable, case_weight, random_rational, xi_of_mt
@@ -173,7 +173,7 @@ def test_tsweep_records_frozen_on_built_lines(monkeypatch):
     verma._LINE_CACHE.clear()
     try:
         jobs = 0
-        while not all(type(verma._LINE_CACHE.get(key)) is tuple for key in keys):
+        while not all(isinstance(verma._LINE_CACHE.get(key), lines.Line) for key in keys):
             t = Fraction(build.randint(-999, 999), build.randint(1, 999))
             for cd, case, n, m in families:
                 end_to_end(case, n, m, cd, t_samples=(t,))

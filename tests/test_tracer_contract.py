@@ -60,6 +60,7 @@ tracer = Tracer()
 install(tracer)
 from rank2verma import products, verma
 from rank2verma.cartan import CartanData
+from rank2verma.lines import Line
 from workloads import TSWEEP_FAMILIES
 rng = random.Random(11)
 
@@ -69,7 +70,7 @@ def job():
             for r in products.end_to_end(case, n, m, CartanData(p, q), t_samples=(t,))]
 
 jobs = 0
-while len(verma._LINE_CACHE) < 3 or not all(type(form) is tuple for form in verma._LINE_CACHE.values()):
+while len(verma._LINE_CACHE) < 3 or not all(isinstance(line, Line) for line in verma._LINE_CACHE.values()):
     job()
     jobs += 1
 tracer.spans.clear()

@@ -464,12 +464,9 @@ def test_results_independent_of_warm_caches():
                     form = xi_of_mt(case, n, cd)
                     expand_product(build_product(case, n, m, cd), form.at(m, t) if form else Fraction(0), tg)
                 products.end_to_end(case, n, m, cd, t_samples=(t,))
-        key = _force_line_build(cd, 2, 1, 3, random.Random(9))
+        line = verma._LINE_CACHE[_force_line_build(cd, 2, 1, 3)]
         assert (2, 1, 3, cd) in products._FAMILY_CACHE and pbw._PROJECTION_CACHE and freealg._WORD_STR_CACHE
-        form = verma._LINE_CACHE[key]
-        assert type(form) is tuple
-        words = graded_quotient(*cold[0].grade, cd).basis_words
-        assert lines.kernel_at(form, *line_parameter(weight, root, 3, cd), words) is not None
+        assert line.kernel_at(*line_parameter(weight, root, 3, cd)) is not None
         warm = result()
         assert warm == cold
         assert repr(warm) == repr(cold)
@@ -484,7 +481,7 @@ def test_warm_split_path_matches_all_rows(p, q, monkeypatch):
     # family grade with g1 + g2 <= 9 that must give what eliminating every
     # row gives, vectors and dimension, at seeded t, and at (2,2), cases 2
     # and 4 with m = 3, also at t = -3/2, where the kernel has dimension 3
-    # and only the all-rows path can give it.  Every line's polynomial form
+    # and only the all-rows path can give it.  Every line's build
     # is refused, so that no t leaves the split path for the line path
     cd = CartanData(p, q)
     rng = random.Random(p * 100 + q)
@@ -495,7 +492,7 @@ def test_warm_split_path_matches_all_rows(p, q, monkeypatch):
         return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(verma, "kernel_basis", recording)
-    monkeypatch.setattr(verma, "_line_form", lambda root, m, cartan: None)
+    monkeypatch.setattr(lines, "build", lambda root, m, cartan: None)
     dims = set()
     try:
         _clear_caches()
@@ -563,17 +560,14 @@ def test_warm_split_path_falls_back_when_a_rest_row_fails(monkeypatch):
         _clear_caches()
 
 
-def _force_line_build(cd, case, n, m, rng):
-    """Solve the family's reducibility line at fresh t until its
-    polynomial form is built or refused, which takes as many exact solves
-    as the grade's quotient dimension; returns the line's key."""
-    root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+def _force_line_build(cd, case, n, m):
+    """Build the family's reducibility line on demand, with no exact solve
+    first, and register it as the exact path does once it has solved the
+    line as many times as the grade's quotient dimension; returns the
+    line's key."""
+    root = family_root(case, n, cd)
     key = (cd.p, cd.q, root.k1, root.k2, m)
-    solves = 0
-    while type(verma._LINE_CACHE.get(key, 0)) is int:
-        singular_vectors(weight.at(m, Fraction(rng.randint(-99, 99), rng.randint(1, 99))), root, m, cd)
-        solves += 1
-    assert solves <= graded_quotient(m * root.k1, m * root.k2, cd).dim + 1
+    verma._LINE_CACHE[key] = lines.build(root, m, cd)
     return key
 
 
@@ -590,11 +584,10 @@ def _recording_kernel(monkeypatch):
 
 @pytest.mark.parametrize("p,q", ORACLE_PAIRS)
 def test_line_path_matches_kernel_on_all_rows(p, q, monkeypatch):
-    # every family line with g1 + g2 <= 9 builds its polynomial form once
-    # it has been solved as many times as its grade's quotient dimension;
-    # then at 20 seeded t each answer equals what eliminating every row
-    # gives, vectors and dimension, and wherever D does not vanish it comes
-    # from the line with no kernel_basis call
+    # every family line with g1 + g2 <= 9 is built; then at 20 seeded t
+    # each answer equals what eliminating every row gives, vectors and
+    # dimension, and wherever D does not vanish it comes from the line
+    # with no kernel_basis call
     cd = CartanData(p, q)
     rng = random.Random(p * 1000 + q)
     calls = _recording_kernel(monkeypatch)
@@ -602,11 +595,10 @@ def test_line_path_matches_kernel_on_all_rows(p, q, monkeypatch):
     try:
         _clear_caches()
         for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
-            words = graded_quotient(g1, g2, cd).basis_words
             for case, n, m in families:
                 root, weight = family_root(case, n, cd), case_weight(case, n, cd)
-                form = verma._LINE_CACHE[_force_line_build(cd, case, n, m, rng)]
-                assert type(form) is tuple, (g1, g2, case, n, m)
+                line = verma._LINE_CACHE[_force_line_build(cd, case, n, m)]
+                assert line is not None, (g1, g2, case, n, m)
                 for k in range(20):
                     t = random_rational(rng) if k % 4 == 0 else Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                     w = weight.at(m, t)
@@ -614,7 +606,7 @@ def test_line_path_matches_kernel_on_all_rows(p, q, monkeypatch):
                     res = singular_vectors(w, root, m, cd)
                     assert list(res.vectors) == _kernel_on_all_rows(w, g1, g2, cd), (g1, g2, t)
                     assert res.kernel_dim == len(res.vectors)
-                    by_line = lines.kernel_at(form, *line_parameter(w, root, m, cd), words) is not None
+                    by_line = line.kernel_at(*line_parameter(w, root, m, cd)) is not None
                     assert (calls == []) == by_line, (g1, g2, t)
                     answered += by_line
                     asked += 1
@@ -637,7 +629,7 @@ def _line_projection(vec, tg):
 
 @pytest.mark.parametrize("p,q", ORACLE_PAIRS)
 def test_line_projection_matches_project(p, q):
-    # every family line with g1 + g2 <= 9 builds its polynomial form; then
+    # every family line with g1 + g2 <= 9 is built; then
     # at 20 seeded t, and at t = -3/2, -1/2 and 1/2, where D may vanish, a
     # vector carries the line exactly where the line answers, and projects
     # through the line's P(s) to the integer form that the row dots give
@@ -650,26 +642,25 @@ def test_line_projection_matches_project(p, q):
     try:
         _clear_caches()
         for (g1, g2), families in sorted(_family_grades(cd, 9).items()):
-            words = graded_quotient(g1, g2, cd).basis_words
             for case, n, m in families:
                 root, weight = family_root(case, n, cd), case_weight(case, n, cd)
-                form = verma._LINE_CACHE[_force_line_build(cd, case, n, m, rng)]
+                line = verma._LINE_CACHE[_force_line_build(cd, case, n, m)]
                 ts = [random_rational(rng) if k % 4 == 0 else Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for k in range(20)]
                 for t in ts + [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)]:
                     w = weight.at(m, t)
                     S, E = line_parameter(w, root, m, cd)
-                    line = lines.kernel_at(form, S, E, words) is not None
-                    vanished += not lines._poly_at(form[0], S, E)
+                    answered = line.kernel_at(S, E) is not None
+                    vanished += not lines._poly_at(line.D, S, E)
                     res = singular_vectors(w, root, m, cd)
                     for vec in res.vectors:
-                        assert (getattr(vec, "_line", None) is not None) == line, (g1, g2, t)
+                        assert (getattr(vec, "_line", None) is not None) == answered, (g1, g2, t)
                         for tg in targets:
                             assert _line_projection(vec, tg) == _row_projection(vec, tg), (g1, g2, t, tg)
-                    by_line += line
+                    by_line += answered
                     asked += 1
         # the last line's P in the first target, its constant coefficient
         # of one monomial moved by 1
-        P = form[3][targets[0]]
+        P = line.projections[targets[0]]
         P[min(P)][0] += 1
         vectors = [singular_vectors(weight.at(m, t), root, m, cd).vector for t in ts]
         assert any(_line_projection(vec, targets[0]) != _row_projection(vec, targets[0]) for vec in vectors)
@@ -689,7 +680,7 @@ def test_line_form_vanishes_at_the_dim3_point(monkeypatch):
     calls = _recording_kernel(monkeypatch)
     try:
         _clear_caches()
-        D = verma._LINE_CACHE[_force_line_build(cd, 2, 1, 3, random.Random(23))][0]
+        D = verma._LINE_CACHE[_force_line_build(cd, 2, 1, 3)].D
         S, E = line_parameter(weight.at(3, Fraction(-3, 2)), root, 3, cd)
         assert lines._poly_at(D, S, E) == 0
         calls.clear()
@@ -718,16 +709,65 @@ def _candidate_roots(D, bound):
     return [(S, E) for S, E in candidates if lines._poly_at(D, S, E) == 0]
 
 
-def _certificate_errors(forms, points):
-    """Where the divisibility pretest of `lines.kernel_at` is wrong on the
-    built forms: at the points S/E it certifies D(S/E) != 0 where Horner
+# (p, q, case, n, m) of every family line with g1 + g2 <= 9 over the oracle
+# pairs, and of the three tsweep lines
+LINE_FAMILIES = [
+    (p, q, case, n, m) for p, q in ORACLE_PAIRS
+    for families in _family_grades(CartanData(p, q), 9).values() for case, n, m in families
+] + list(TSWEEP_FAMILIES)
+
+
+def _build_lines():
+    """Build every line of LINE_FAMILIES on demand: {key: its Line}, each
+    one kept."""
+    built = {}
+    for p, q, case, n, m in LINE_FAMILIES:
+        key = _force_line_build(CartanData(p, q), case, n, m)
+        built[key] = verma._LINE_CACHE[key]
+        assert built[key] is not None, key
+    return built
+
+
+def test_line_build_is_independent_of_solve_history():
+    # a line's rows come from the first node whose kernel is one vector, so
+    # a cold build with no prior solve and the builds after two solve
+    # histories, shuffled and at different t, give the same D, v and d on
+    # every line of LINE_FAMILIES, though the histories fix different
+    # chosen rows for some grades
+    def polynomials(built):
+        return {key: (line.D, line.v, line.d) for key, line in built.items()}
+
+    splits = []
+    try:
+        _clear_caches()
+        cold = polynomials(_build_lines())
+        assert len(cold) == 136
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            verma._INDEPENDENT_ROWS_CACHE.clear()
+            verma._LINE_CACHE.clear()
+            for p, q, case, n, m in rng.sample(LINE_FAMILIES, len(LINE_FAMILIES)):
+                cd = CartanData(p, q)
+                root, weight = family_root(case, n, cd), case_weight(case, n, cd)
+                for _ in range(2):
+                    singular_vectors(weight.at(m, Fraction(rng.randint(-9, 9), rng.randint(1, 9))), root, m, cd)
+            splits.append(dict(verma._INDEPENDENT_ROWS_CACHE))
+            assert polynomials(_build_lines()) == cold
+    finally:
+        _clear_caches()
+    assert splits[0] != splits[1]
+
+
+def _certificate_errors(built, points):
+    """Where the divisibility pretest of `Line.kernel_at` is wrong on the
+    built lines: at the points S/E it certifies D(S/E) != 0 where Horner
     gives 0, or at a rational root of D (`_candidate_roots`) it certifies,
     or `kernel_at` answers instead of leaving the root to the exact path.
     Returns the errors, the roots per line key, and the share of the points
     the pretest certified."""
     errors, roots, certified = [], {}, 0
-    for key, (form, words) in forms.items():
-        D = form[0]
+    for key, line in built.items():
+        D = line.D
         for S, E in points:
             if lines._not_a_root(D, S, E):
                 certified += 1
@@ -737,9 +777,9 @@ def _certificate_errors(forms, points):
         for S, E in roots[key]:
             if lines._not_a_root(D, S, E):
                 errors.append((key, S, E, "certified a root"))
-            if lines.kernel_at(form, S, E, words) is not None:
+            if line.kernel_at(S, E) is not None:
                 errors.append((key, S, E, "answered at a root"))
-    return errors, roots, certified / max(1, len(forms) * len(points))
+    return errors, roots, certified / max(1, len(built) * len(points))
 
 
 def test_divisibility_certificate_is_sound(monkeypatch):
@@ -757,26 +797,18 @@ def test_divisibility_certificate_is_sound(monkeypatch):
         S, E = rng.randint(-top, top), rng.randint(1, top)
         g = math.gcd(S, E)
         points.append((S // g, E // g))
-    forms = {}
     try:
         _clear_caches()
-        families = [(p, q, case, n, m) for p, q in ORACLE_PAIRS
-                    for grade_families in _family_grades(CartanData(p, q), 9).values() for case, n, m in grade_families]
-        for p, q, case, n, m in families + list(TSWEEP_FAMILIES):
-            cd = CartanData(p, q)
-            key = _force_line_build(cd, case, n, m, rng)
-            root = family_root(case, n, cd)
-            forms[key] = (verma._LINE_CACHE[key], graded_quotient(m * root.k1, m * root.k2, cd).basis_words)
-            assert type(forms[key][0]) is tuple, key
-        assert all(key in forms for key in [(2, 3, 5, 3, 1), (2, 2, 1, 2, 3), (3, 3, 8, 3, 1)])
-        errors, roots, share = _certificate_errors(forms, points)
+        built = _build_lines()
+        assert all(key in built for key in [(2, 3, 5, 3, 1), (2, 2, 1, 2, 3), (3, 3, 8, 3, 1)])
+        errors, roots, share = _certificate_errors(built, points)
         assert errors == []
         assert share > 0.9
         cd = CartanData(2, 2)
         dim3 = line_parameter(case_weight(2, 1, cd).at(3, Fraction(-3, 2)), family_root(2, 1, cd), 3, cd)
         assert dim3 in roots[(2, 2, 1, 2, 3)]
         monkeypatch.setattr(lines, "_not_a_root", lambda D, S, E: True)
-        errors = _certificate_errors(forms, [])[0]
+        errors = _certificate_errors(built, [])[0]
         assert {"certified a root", "answered at a root"} <= {why for *_, why in errors}
     finally:
         _clear_caches()
@@ -787,7 +819,7 @@ def _refused_line_stays_exact(cd, case, n, m, calls):
     is then solved on the exact path with the answer of every row."""
     root, weight = family_root(case, n, cd), case_weight(case, n, cd)
     g1, g2 = m * root.k1, m * root.k2
-    key = _force_line_build(cd, case, n, m, random.Random(31))
+    key = _force_line_build(cd, case, n, m)
     assert key in verma._LINE_CACHE and verma._LINE_CACHE[key] is None
     for t in (Fraction(2, 9), Fraction(-5, 7), random_rational(random.Random(32))):
         w = weight.at(m, t)
@@ -800,7 +832,7 @@ def _refused_line_stays_exact(cd, case, n, m, calls):
 
 def test_line_build_refuses_a_moved_coefficient(monkeypatch):
     # v(s) with one coefficient moved by 1 leaves some row's product with
-    # it nonzero: the form is refused, and the line stays on the exact path
+    # it nonzero: the build is refused, and the line stays on the exact path
     # with unchanged answers
     real = lines.line_polynomials
 
@@ -821,23 +853,24 @@ def test_line_build_refuses_a_moved_coefficient(monkeypatch):
 
 
 def test_line_build_refuses_rows_dependent_along_the_line(monkeypatch):
-    # the grade's chosen rows with the last one replaced by a copy of the
-    # first have rank n - 2 at every s, so D is identically 0: the form is
-    # refused, and every t is solved on all rows with unchanged answers
+    # the rows that led the kernel at s = 0, with the last one replaced by
+    # a copy of the first, have rank n - 2 at every s, so D is identically
+    # 0.  Fed to the build as the line's pencil, no node's kernel is one
+    # vector: the build is refused, and every t is solved on all rows with
+    # unchanged answers
     cd = CartanData(2, 2)
     case, n, m = 2, 1, 3
     root = family_root(case, n, cd)
-    key = (2, 2, m * root.k1, m * root.k2)
     calls = _recording_kernel(monkeypatch)
     try:
         _clear_caches()
-        singular_vectors(case_weight(case, n, cd).at(m, Fraction(1, 3)), root, m, cd)
-        chosen, rest = verma._INDEPENDENT_ROWS_CACHE[key]
-        dependent = chosen[:-1] + chosen[:1]
-        pencil = verma._line_pencil(*key[2:], root, m, cd)
-        assert lines.line_polynomials([pencil[k] for k in chosen]) is not None
-        assert lines.line_polynomials([pencil[k] for k in dependent]) is None
-        verma._INDEPENDENT_ROWS_CACHE[key] = (dependent, rest)
+        pencil = lines._pencil(root, m, cd)
+        kern, led = kernel_basis(lines._rows_at(pencil, 0), graded_quotient(m * root.k1, m * root.k2, cd).dim)
+        assert len(kern) == 1
+        dependent = [pencil[k] for k in led[:-1] + led[:1]]
+        assert lines.line_polynomials([pencil[k] for k in led]) is not None
+        assert lines.line_polynomials(dependent) is None
+        monkeypatch.setattr(lines, "_pencil", lambda root, m, cartan: dependent)
         _refused_line_stays_exact(cd, case, n, m, calls)
     finally:
         _clear_caches()
